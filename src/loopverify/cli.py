@@ -99,7 +99,7 @@ def _cmd_verify(args) -> int:
         poss_mode="real" if args.poss_at_real else "belief",
         real_mode="intended" if args.real_intended else "outcome",
     )
-    verdict = checker(controller, domain, workers=args.workers)
+    verdict = checker(controller, domain)
     if args.json:
         payload = _verdict_json(name, verdict)
         payload["command"] = "verify"
@@ -211,7 +211,6 @@ def _cmd_synthesize(args) -> int:
         max_states=args.max_states,
         limit=args.limit,
         depth_bound=args.depth_bound,
-        workers=args.workers,
         poss_mode="real" if args.poss_at_real else "belief",
         real_mode="intended" if args.real_intended else "outcome",
     )
@@ -290,7 +289,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("controller")
     verify.add_argument("--criterion", required=True)
     verify.add_argument("--depth-bound", type=int, default=64)
-    verify.add_argument("--workers", type=int, default=1)
     verify.add_argument(
         "--strict", action="store_true", help="require a total transition function"
     )
@@ -331,7 +329,6 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--max-states", type=int, required=True)
     synth.add_argument("--limit", type=int, default=1)
     synth.add_argument("--depth-bound", type=int, default=64)
-    synth.add_argument("--workers", type=int, default=1)
     synth.add_argument("--out-dir", help="write each solution as JSON into this directory")
     common_modes(synth)
     synth.add_argument("--json", action="store_true")

@@ -30,8 +30,15 @@ from .belief import (
     initial_belief,
     progress,
 )
-from .controller import Controller, validate
-from .exec_exact import Config, Verdict, VerifierInputError
+from .controller import Controller
+from .exec_exact import (
+    Config,
+    Verdict,
+    VerifierInputError,
+    _cached_successors,
+    _checked,
+    successors,
+)
 from .theory import NULL_OBSERVATION, Domain, WorldState
 
 
@@ -125,6 +132,7 @@ def step_belief(
     elif not domain.poss(advised, cfg.real):
         raise ExecutionStuck(f"{advised!r} is inexecutable at the real world")
 
+    branches = successors(controller, domain, cfg.control, cfg.real)
     if action.kind == "physical":
         if step.reading is not None:
             raise ScenarioError(f"physical step {advised!r} cannot carry a reading")
@@ -141,13 +149,13 @@ def step_belief(
             )
         if real_mode == "intended":
             actual = advised
-        if not domain.poss(actual, cfg.real):
+        branch = next((b for b in branches if b.action == actual), None)
+        if branch is None and not domain.poss(actual, cfg.real):
             raise ScenarioError(f"outcome {actual!r} is inexecutable at the real world")
         try:
             belief = progress(cfg.belief, advised, domain)
         except BeliefAnnihilated as exc:
             raise ExecutionStuck(str(exc)) from exc
-        real = domain.apply(actual, cfg.real)
         obs = NULL_OBSERVATION
     else:
         if step.reading is None:
@@ -159,7 +167,8 @@ def step_belief(
             raise ScenarioError(
                 f"{step.reading!r} is not a declared reading of {advised!r}"
             ) from exc
-        if model.likelihood(cfg.real, reading.value) <= 0.0:
+        branch = next((b for b in branches if b.reading == reading), None)
+        if branch is None:
             raise ScenarioError(
                 f"reading {step.reading!r} has zero likelihood at the real world"
             )
@@ -167,15 +176,13 @@ def step_belief(
             belief = condition(cfg.belief, advised, reading, domain)
         except ObservationImpossible as exc:
             raise ScenarioError(str(exc)) from exc
-        real = cfg.real
         obs = reading.observation
 
-    target = controller.transitions.get((cfg.control, obs))
-    if target is None:
+    if branch is None or branch.target is None:
         raise ExecutionStuck(
             f"no transition from {cfg.control!r} on observation {obs!r}"
         )
-    return EpistemicConfig(target, belief, real), advised, obs
+    return EpistemicConfig(branch.target, belief, branch.world), advised, obs
 
 
 def run_scenario(
@@ -196,9 +203,7 @@ def run_scenario(
     Fails. `collect`, when given, receives per-step records
     (control, action, observation, belief, real) for tracing output.
     """
-    defects = validate(controller, domain)
-    if defects:
-        raise VerifierInputError("controller is invalid: " + "; ".join(defects))
+    _checked(controller, domain)
     weight = dict((w, wt) for w, wt in domain.initial_worlds).get(real0)
     if weight is None or weight <= 0.0:
         raise VerifierInputError(
@@ -258,11 +263,13 @@ def run_scenario(
 def _successors(
     controller: Controller,
     domain: Domain,
+    step,
     node: tuple,
     poss_mode: str,
     real_mode: str,
 ):
-    """Positive-likelihood successor nodes of (control, belief, real)."""
+    """Positive-likelihood successor nodes of (control, belief, real);
+    `step` gives the kernel's branches at (control, real)."""
     control, belief, real = node
     advised = controller.advice.get(control)
     if advised is None:
@@ -272,48 +279,29 @@ def _successors(
             return []
     elif not domain.poss(advised, real):
         return []
-    successors = []
-    action = domain.actions[advised]
-    if action.kind == "physical":
-        target = controller.transitions.get((control, NULL_OBSERVATION))
-        if target is None:
-            return []
+    branches = step(control, real)
+    if not branches:
+        return []
+    if domain.actions[advised].kind == "physical":
         try:
             next_belief = progress(belief, advised, domain)
         except BeliefAnnihilated:
             return []
-        if real_mode == "intended":
-            if domain.poss(advised, real):
-                successors.append(
-                    (
-                        (target, next_belief, domain.apply(advised, real)),
-                        advised,
-                        NULL_OBSERVATION,
-                    )
-                )
-        else:
-            for outcome in domain.outcomes_of(advised, real):
-                successors.append(
-                    (
-                        (target, next_belief, domain.apply(outcome.action, real)),
-                        outcome.action,
-                        NULL_OBSERVATION,
-                    )
-                )
-    else:
-        model = domain.sensing_models[advised]
-        for reading in model.positive_readings(real):
-            target = controller.transitions.get((control, reading.observation))
-            if target is None:
-                continue
-            try:
-                next_belief = condition(belief, advised, reading, domain)
-            except ObservationImpossible:
-                continue
-            successors.append(
-                ((target, next_belief, real), reading.token, reading.observation)
-            )
-    return successors
+        return [
+            ((b.target, next_belief, b.world), b.action, NULL_OBSERVATION)
+            for b in branches
+            if real_mode != "intended" or b.action == advised
+        ]
+    nodes = []
+    for b in branches:
+        if b.target is None:
+            continue
+        try:
+            next_belief = condition(belief, advised, b.reading, domain)
+        except ObservationImpossible:
+            continue
+        nodes.append(((b.target, next_belief, real), b.reading.token, b.observation))
+    return nodes
 
 
 def _node_key(node: tuple) -> tuple:
@@ -324,6 +312,7 @@ def _node_key(node: tuple) -> tuple:
 def _search_existential(
     controller: Controller,
     domain: Domain,
+    step,
     real0: WorldState,
     depth_bound: int,
     poss_mode: str,
@@ -356,7 +345,7 @@ def _search_existential(
                 truncated = True
                 continue
             for nxt, action, obs in _successors(
-                controller, domain, node, poss_mode, real_mode
+                controller, domain, step, node, poss_mode, real_mode
             ):
                 key = _node_key(nxt)
                 if key not in parent:
@@ -372,6 +361,7 @@ def _search_existential(
 def _search_adversarial(
     controller: Controller,
     domain: Domain,
+    step,
     real0: WorldState,
     depth_bound: int,
     poss_mode: str,
@@ -404,11 +394,11 @@ def _search_adversarial(
             truncated = True
             edges[key] = None
             continue
-        successors = _successors(controller, domain, node, poss_mode, real_mode)
-        if not successors:
+        nodes = _successors(controller, domain, step, node, poss_mode, real_mode)
+        if not nodes:
             return "Fails"
         keys = []
-        for nxt, _action, _obs in successors:
+        for nxt, _action, _obs in nodes:
             nxt_key = _node_key(nxt)
             keys.append(nxt_key)
             if nxt_key not in seen:
@@ -446,7 +436,6 @@ def verify_epistemic(
     depth_bound: int = 64,
     poss_mode: str = "belief",
     real_mode: str = "outcome",
-    workers: int = 1,
 ) -> Verdict:
     """Epistemic correctness over every positive-weight initial world
     taken as the designated real world.
@@ -458,36 +447,22 @@ def verify_epistemic(
     """
     if mode not in ("existential", "adversarial"):
         raise VerifierInputError(f"unknown epistemic mode {mode!r}")
-    defects = validate(controller, domain)
-    if defects:
-        raise VerifierInputError("controller is invalid: " + "; ".join(defects))
-
-    worlds = [(w, wt) for w, wt in domain.initial_worlds if wt > 0.0]
-
-    def check(entry):
-        world, _weight = entry
-        if mode == "existential":
-            return _search_existential(
-                controller, domain, world, depth_bound, poss_mode, real_mode
-            )
-        return (
-            _search_adversarial(
-                controller, domain, world, depth_bound, poss_mode, real_mode
-            ),
-            None,
-        )
-
-    if workers > 1 and len(worlds) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(check, worlds))
-    else:
-        results = [check(w) for w in worlds]
-
+    _checked(controller, domain)
+    step = _cached_successors(controller, domain)
     witnesses = []
     unknown_world = None
-    for (world, _weight), (status, trace) in zip(worlds, results):
+    for world, weight in domain.initial_worlds:
+        if weight <= 0.0:
+            continue
+        if mode == "existential":
+            status, trace = _search_existential(
+                controller, domain, step, world, depth_bound, poss_mode, real_mode
+            )
+        else:
+            status = _search_adversarial(
+                controller, domain, step, world, depth_bound, poss_mode, real_mode
+            )
+            trace = None
         if status == "Fails":
             return Verdict(
                 "Fails",

@@ -1,10 +1,12 @@
 """Deterministic and outcome-branching execution over the config graph.
 
-A config pairs a control state with a world. With noise-free acting the
-controller induces one run per initial world (step_exact); with a
-nontrivial outcome model each step branches over the executable
-alternatives (step_outcomes), and correctness criteria become
-reachability questions over the finite config graph:
+A config pairs a control state with a world. `successors` is the one
+controller step every engine in the package walks: advice, then
+executability, then outcomes or readings, then the transition lookup.
+With noise-free acting the controller induces one run per initial
+world; with a nontrivial outcome model each step branches over the
+executable alternatives, and correctness criteria become reachability
+questions over the finite config graph:
 
 - verify_exact: every initial world's unique run ends at the final
   control state with the goal true.
@@ -22,15 +24,14 @@ belief-level checker.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .controller import Controller, validate
-from .formulas import eval_condition, has_belief_atoms, mentioned_fluents
-from .theory import NULL_OBSERVATION, Domain, DomainError, WorldState
+from .formulas import eval_condition, has_belief_atoms
+from .theory import NULL_OBSERVATION, Domain, Reading, WorldState, _sensor_worlds
 
 
 class VerifierInputError(ValueError):
@@ -79,21 +80,7 @@ def _require_exact_sensing(domain: Domain) -> None:
                 f"sensor of {model.action!r} reports continuous readings; "
                 "use the belief-level checker"
             )
-        relevant = set()
-        for condition, _ in model.table:
-            relevant |= set(mentioned_fluents(condition))
-        names = sorted(relevant)
-        size = 1
-        for name in names:
-            size *= len(domain.fluents[name].values)
-        if size > 4096:
-            continue
-        others = {
-            n: domain.fluents[n].values[0] for n in domain.fluents if n not in relevant
-        }
-        pools = [domain.fluents[n].values for n in names]
-        for combo in itertools.product(*pools):
-            world = WorldState({**others, **dict(zip(names, combo))})
+        for world in _sensor_worlds(domain, model) or ():
             if len(model.positive_readings(world)) != 1:
                 raise VerifierInputError(
                     f"sensor of {model.action!r} is noisy at {world!r}; "
@@ -105,64 +92,90 @@ def _positive_worlds(domain: Domain) -> list:
     return [(w, wt) for w, wt in domain.initial_worlds if wt > 0.0]
 
 
-def _expand_exact(controller: Controller, domain: Domain, cfg: Config):
-    """Unique successor as (config, action, observation), or None."""
-    if cfg.control == controller.final:
-        return None
-    action = controller.advice.get(cfg.control)
-    if action is None:
-        return None
-    if not domain.poss(action, cfg.world):
-        return None
-    world = domain.apply(action, cfg.world)
-    try:
-        obs = domain.exact_observation(action, world)
-    except DomainError as exc:
-        raise VerifierInputError(str(exc)) from exc
-    target = controller.transitions.get((cfg.control, obs))
-    if target is None:
-        return None
-    return Config(target, world), action, obs
+class Branch(NamedTuple):
+    """One way a controller step can go from a config.
+
+    `action` is the action that occurs (an outcome of the advised action
+    on physical steps, the sensing action itself otherwise), `reading`
+    the sensor reading (None on physical steps), `world` the world after
+    the step, and `target` the next control state (None when a reading's
+    observation has no transition).
+    """
+
+    action: str
+    reading: Optional[Reading]
+    likelihood: float
+    world: WorldState
+    target: object
+
+    @property
+    def observation(self) -> str:
+        return NULL_OBSERVATION if self.reading is None else self.reading.observation
 
 
-def step_exact(controller: Controller, domain: Domain, cfg: Config) -> Optional[Config]:
-    """One noise-free step; None when final, inexecutable, or stuck."""
-    expanded = _expand_exact(controller, domain, cfg)
-    return expanded[0] if expanded else None
+def successors(controller: Controller, domain: Domain, control, world: WorldState) -> list:
+    """The branches of one controller step from (control, world).
 
-
-def _expand_outcomes(controller: Controller, domain: Domain, cfg: Config) -> list:
-    """Successors under outcome branching, sorted by (action, observation)."""
-    if cfg.control == controller.final:
+    Physical steps branch over the executable positive-likelihood
+    outcomes in outcome-model order, sensing steps over the
+    positive-likelihood readings in declared order. Empty at the final
+    state, without advice, for a physical step without a null-observation
+    transition, and when no alternative is executable.
+    """
+    if control == controller.final:
         return []
-    advised = controller.advice.get(cfg.control)
+    advised = controller.advice.get(control)
     if advised is None:
         return []
-    successors = []
-    if domain.actions[advised].kind == "sensing":
-        if domain.poss(advised, cfg.world):
-            try:
-                obs = domain.exact_observation(advised, cfg.world)
-            except DomainError as exc:
-                raise VerifierInputError(str(exc)) from exc
-            target = controller.transitions.get((cfg.control, obs))
-            if target is not None:
-                successors.append((Config(target, cfg.world), advised, obs))
-    else:
-        target = controller.transitions.get((cfg.control, NULL_OBSERVATION))
-        if target is not None:
-            for outcome in domain.outcomes_of(advised, cfg.world):
-                world = domain.apply(outcome.action, cfg.world)
-                successors.append(
-                    (Config(target, world), outcome.action, NULL_OBSERVATION)
-                )
-    successors.sort(key=lambda entry: (entry[1], entry[2]))
-    return successors
+    if domain.actions[advised].kind == "physical":
+        target = controller.transitions.get((control, NULL_OBSERVATION))
+        if target is None:
+            return []
+        return [
+            Branch(o.action, None, o.likelihood, domain.apply(o.action, world), target)
+            for o in domain.outcomes_of(advised, world)
+        ]
+    if not domain.poss(advised, world):
+        return []
+    model = domain.sensing_models[advised]
+    branches = []
+    for reading in model.readings:
+        likelihood = model.likelihood(world, reading.value)
+        if likelihood > 0.0:
+            target = controller.transitions.get((control, reading.observation))
+            branches.append(Branch(advised, reading, likelihood, world, target))
+    return branches
 
 
-def step_outcomes(controller: Controller, domain: Domain, cfg: Config) -> list:
-    """Successor configs with the actions that produce them."""
-    return [(nxt, action) for nxt, action, _obs in _expand_outcomes(controller, domain, cfg)]
+def _cached_successors(controller: Controller, domain: Domain):
+    """`successors` for one check, computed once per (control, world).
+
+    Runs from different initial worlds, and belief-level nodes sharing a
+    real world, step the same config again and again; the cache keeps
+    the world kernel from redoing that work. Callers must not modify the
+    lists it returns."""
+    return functools.lru_cache(maxsize=None)(
+        functools.partial(successors, controller, domain)
+    )
+
+
+def _steps(step, cfg: Config) -> list:
+    """(next config, action, observation) for every branch `step` gives
+    at `cfg` that has a target, sorted by (action, observation). Sensing
+    must be noise-free."""
+    branches = step(cfg.control, cfg.world)
+    if len(branches) > 1 and branches[0].reading is not None:
+        raise VerifierInputError(
+            f"sensor of {branches[0].action} is not noise-free at {cfg.world!r} "
+            f"({len(branches)} live readings); use the belief-level semantics"
+        )
+    steps = [
+        (Config(b.target, b.world), b.action, b.observation)
+        for b in branches
+        if b.target is not None
+    ]
+    steps.sort(key=lambda entry: (entry[1], entry[2]))
+    return steps
 
 
 def _trace_from(parent: dict, cfg: Config) -> list:
@@ -185,6 +198,7 @@ def verify_exact(controller: Controller, domain: Domain) -> Verdict:
         raise VerifierInputError(
             "outcome models are nontrivial; use the outcome-branching criteria"
         )
+    step = _cached_successors(controller, domain)
     witnesses = []
     for world, _weight in _positive_worlds(domain):
         cfg = Config(controller.initial, world)
@@ -201,15 +215,15 @@ def verify_exact(controller: Controller, domain: Domain) -> Verdict:
                     counterexample_world=world,
                     note="goal false at the final state",
                 )
-            expanded = _expand_exact(controller, domain, cfg)
-            if expanded is None:
+            steps = _steps(step, cfg)
+            if not steps:
                 return Verdict(
                     "Fails",
                     witness=trace,
                     counterexample_world=world,
                     note="run is stuck before the final state",
                 )
-            nxt, action, obs = expanded
+            nxt, action, obs = steps[0]
             trace.append((cfg, action, obs))
             if nxt in visited:
                 return Verdict(
@@ -223,8 +237,9 @@ def verify_exact(controller: Controller, domain: Domain) -> Verdict:
     return Verdict("Holds", witnesses=witnesses)
 
 
-def _weak_single(controller: Controller, domain: Domain, world: WorldState):
-    """Breadth-first search for one goal-reaching branch from `world`."""
+def _weak_trace(controller: Controller, domain: Domain, step, world: WorldState):
+    """Breadth-first search for one goal-reaching branch from `world`;
+    its trace, or None when there is none."""
     start = Config(controller.initial, world)
     parent = {start: None}
     queue = deque([start])
@@ -232,41 +247,44 @@ def _weak_single(controller: Controller, domain: Domain, world: WorldState):
         cfg = queue.popleft()
         if cfg.control == controller.final:
             if eval_condition(domain.goal, cfg.world):
-                return True, _trace_from(parent, cfg)
+                return _trace_from(parent, cfg)
             continue
-        for nxt, action, obs in _expand_outcomes(controller, domain, cfg):
+        for nxt, action, obs in _steps(step, cfg):
             if nxt not in parent:
                 parent[nxt] = (cfg, action, obs)
                 queue.append(nxt)
-    return False, None
+    return None
 
 
-def _map_worlds(task, worlds: list, workers: int) -> list:
-    if workers > 1 and len(worlds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(task, worlds))
-    return [task(w) for w in worlds]
-
-
-def verify_weak(controller: Controller, domain: Domain, workers: int = 1) -> Verdict:
-    """Some outcome branch must reach the goal from every initial world."""
+def _weak_per_world(controller: Controller, domain: Domain, cutoff: float):
+    """(world, weight, trace or None) for each initial world weighing
+    more than `cutoff`, in declared order and computed lazily, so a
+    caller can stop at the first failure."""
     _checked(controller, domain)
     _require_objective_goal(domain)
     _require_exact_sensing(domain)
-    worlds = _positive_worlds(domain)
-    results = _map_worlds(
-        lambda entry: _weak_single(controller, domain, entry[0]), worlds, workers
+    step = _cached_successors(controller, domain)
+    return (
+        (world, weight, _weak_trace(controller, domain, step, world))
+        for world, weight in domain.initial_worlds
+        if weight > cutoff
     )
+
+
+def _weak_all(controller, domain, cutoff: float, note: str, failure: str) -> Verdict:
+    """Holds when every initial world above `cutoff` has a goal-reaching
+    branch; Fails at the first that has none."""
     witnesses = []
-    for (world, _weight), (ok, trace) in zip(worlds, results):
-        if not ok:
-            return Verdict(
-                "Fails",
-                counterexample_world=world,
-                note="no outcome branch reaches the goal",
-            )
+    for world, _weight, trace in _weak_per_world(controller, domain, cutoff):
+        if trace is None:
+            return Verdict("Fails", counterexample_world=world, note=failure)
         witnesses.append((world, trace))
-    return Verdict("Holds", witnesses=witnesses)
+    return Verdict("Holds", witnesses=witnesses, note=note)
+
+
+def verify_weak(controller: Controller, domain: Domain) -> Verdict:
+    """Some outcome branch must reach the goal from every initial world."""
+    return _weak_all(controller, domain, 0.0, "", "no outcome branch reaches the goal")
 
 
 def verify_termination(controller: Controller, domain: Domain) -> Verdict:
@@ -274,6 +292,7 @@ def verify_termination(controller: Controller, domain: Domain) -> Verdict:
     to reach the final control state."""
     _checked(controller, domain)
     _require_exact_sensing(domain)
+    step = functools.partial(successors, controller, domain)  # one visit per config
     origin = {}
     parent = {}
     order = []
@@ -288,9 +307,9 @@ def verify_termination(controller: Controller, domain: Domain) -> Verdict:
             queue.append(cfg)
     while queue:
         cfg = queue.popleft()
-        successors = _expand_outcomes(controller, domain, cfg)
-        edges[cfg] = [nxt for nxt, _a, _o in successors]
-        for nxt, action, obs in successors:
+        steps = _steps(step, cfg)
+        edges[cfg] = [nxt for nxt, _a, _o in steps]
+        for nxt, action, obs in steps:
             if nxt not in parent:
                 parent[nxt] = (cfg, action, obs)
                 origin[nxt] = origin[cfg]
@@ -323,61 +342,39 @@ def verify_termination(controller: Controller, domain: Domain) -> Verdict:
     return Verdict("Holds")
 
 
-def verify_weight_threshold(
-    controller: Controller, domain: Domain, kappa: float, workers: int = 1
-) -> Verdict:
+def verify_weight_threshold(controller: Controller, domain: Domain, kappa: float) -> Verdict:
     """Weak-plan check for every initial world of weight strictly above
     `kappa`. The comparison is strict: a world weighing exactly `kappa`
     is exempt."""
-    _checked(controller, domain)
-    _require_objective_goal(domain)
-    _require_exact_sensing(domain)
     note = ""
     total = sum(weight for _w, weight in domain.initial_worlds)
     if kappa < 0.0 or kappa >= total:
         note = f"threshold {kappa} lies outside [0, total weight {total})"
-    worlds = [(w, wt) for w, wt in domain.initial_worlds if wt > kappa]
-    results = _map_worlds(
-        lambda entry: _weak_single(controller, domain, entry[0]), worlds, workers
+    return _weak_all(
+        controller,
+        domain,
+        kappa,
+        note,
+        (note + "; " if note else "")
+        + f"world above weight threshold {kappa} has no goal-reaching branch",
     )
-    witnesses = []
-    for (world, _weight), (ok, trace) in zip(worlds, results):
-        if not ok:
-            return Verdict(
-                "Fails",
-                counterexample_world=world,
-                note=(note + "; " if note else "")
-                + f"world above weight threshold {kappa} has no goal-reaching branch",
-            )
-        witnesses.append((world, trace))
-    return Verdict("Holds", witnesses=witnesses, note=note)
 
 
-def verify_goal_mass(
-    controller: Controller, domain: Domain, kappa: float, workers: int = 1
-) -> Verdict:
+def verify_goal_mass(controller: Controller, domain: Domain, kappa: float) -> Verdict:
     """The prior mass of initial worlds admitting a goal-reaching branch,
     normalized by the total prior, must be at least `kappa`. At kappa >= 1
     the check requires literally every positive-weight world to pass, so
     the verdict cannot drift across float rounding."""
-    _checked(controller, domain)
-    _require_objective_goal(domain)
-    _require_exact_sensing(domain)
-    worlds = _positive_worlds(domain)
-    results = _map_worlds(
-        lambda entry: _weak_single(controller, domain, entry[0]), worlds, workers
-    )
-    total = sum(weight for _w, weight in domain.initial_worlds)
     passing = 0.0
     witnesses = []
     first_failure = None
-    for (world, weight), (ok, trace) in zip(worlds, results):
-        if ok:
+    for world, weight, trace in _weak_per_world(controller, domain, 0.0):
+        if trace is not None:
             passing += weight
             witnesses.append((world, trace))
         elif first_failure is None:
             first_failure = world
-    mass = passing / total
+    mass = passing / sum(weight for _w, weight in domain.initial_worlds)
     note = f"goal-reaching mass {mass:.9f} of threshold {kappa}"
     if kappa >= 1.0:
         achieved = first_failure is None

@@ -25,10 +25,16 @@ from typing import Optional
 import numpy as np
 
 from .belief import bel, condition, eval_goal, initial_belief, progress
-from .controller import Controller, validate
-from .exec_exact import Config, VerifierInputError
+from .controller import Controller
+from .exec_exact import (
+    Config,
+    VerifierInputError,
+    _cached_successors,
+    _checked,
+    successors,
+)
 from .formulas import BeliefAtom, eval_condition, has_belief_atoms
-from .theory import NULL_OBSERVATION, Domain
+from .theory import Domain
 
 RUN_BLOCK = 8192
 
@@ -89,7 +95,11 @@ def _bel_target(domain: Domain):
 
 
 class _Chain:
-    """Finite Markov chain over reachable configs, plus one stuck sink."""
+    """Finite Markov chain over reachable configs, plus one stuck sink.
+
+    A run steps into the sink from a non-final config with no branch or
+    on a reading without a transition, so a dead end reached on the last
+    allowed step still counts as truncated, as in scalar runs."""
 
     def __init__(self, configs, kinds, cums, targets, init_indices, prior_cum):
         self.configs = configs
@@ -119,62 +129,33 @@ def build_chain(controller: Controller, domain: Domain) -> Optional[_Chain]:
 
     worlds, prior_cum = _prior(domain)
     init_indices = [intern(Config(controller.initial, w)) for w in worlds]
-    kinds = {}
-    cums = {}
-    targets = {}
-    cursor = 0
-    while cursor < len(configs):
-        i = cursor
-        cursor += 1
+    kinds = []
+    cums = []
+    targets = []  # None stands for the sink until every config is interned
+    while len(kinds) < len(configs):
+        i = len(kinds)
         cfg = configs[i]
         if cfg.control == controller.final:
-            kinds[i] = "success" if eval_condition(domain.goal, cfg.world) else "failure"
-            cums[i], targets[i] = [1.0], [i]
+            kinds.append("success" if eval_condition(domain.goal, cfg.world) else "failure")
+            cums.append([1.0])
+            targets.append([i])
             continue
-        advised = controller.advice.get(cfg.control)
-        if advised is None:
-            kinds[i] = "stuck"
-            cums[i], targets[i] = [1.0], [i]
-            continue
-        action = domain.actions[advised]
-        branches = []
-        if action.kind == "physical":
-            target = controller.transitions.get((cfg.control, NULL_OBSERVATION))
-            outcomes = domain.outcomes_of(advised, cfg.world)
-            if target is not None and outcomes:
-                weights = [o.likelihood for o in outcomes]
-                for outcome in outcomes:
-                    successor = Config(target, domain.apply(outcome.action, cfg.world))
-                    branches.append(intern(successor))
-        else:
-            if domain.poss(advised, cfg.world):
-                model = domain.sensing_models[advised]
-                live = model.positive_readings(cfg.world)
-                weights = [model.likelihood(cfg.world, r.value) for r in live]
-                for reading in live:
-                    target = controller.transitions.get(
-                        (cfg.control, reading.observation)
-                    )
-                    if target is None:
-                        branches.append(-1)  # consumed the draw, then stuck
-                    else:
-                        branches.append(intern(Config(target, cfg.world)))
-        if not branches:
-            kinds[i] = "stuck"
-            cums[i], targets[i] = [1.0], [i]
-            continue
-        kinds[i] = "step"
-        cums[i] = _cumulative(weights)
-        targets[i] = branches
+        branches = successors(controller, domain, cfg.control, cfg.world)
+        kinds.append("step")
+        cums.append(_cumulative([b.likelihood for b in branches]) if branches else [1.0])
+        targets.append(
+            [
+                None if b.target is None else intern(Config(b.target, b.world))
+                for b in branches
+            ]
+            or [None]
+        )
 
-    # dedicated sink for mid-branch dead ends
     sink = len(configs)
-    kind_list = [kinds[i] for i in range(len(configs))] + ["stuck"]
-    cum_list = [cums[i] for i in range(len(configs))] + [[1.0]]
-    target_list = [
-        [sink if t == -1 else t for t in targets[i]] for i in range(len(configs))
-    ] + [[sink]]
-    return _Chain(configs, kind_list, cum_list, target_list, init_indices, prior_cum)
+    kinds.append("stuck")
+    cums.append([1.0])
+    targets = [[sink if t is None else t for t in row] for row in targets] + [[sink]]
+    return _Chain(configs, kinds, cums, targets, init_indices, prior_cum)
 
 
 def absorption_probability(
@@ -230,9 +211,7 @@ def simulate(
     """
     if runs < 1:
         raise VerifierInputError("runs must be at least 1")
-    defects = validate(controller, domain)
-    if defects:
-        raise VerifierInputError("controller is invalid: " + "; ".join(defects))
+    _checked(controller, domain)
     if step_cap is None:
         step_cap = default_step_cap(controller, domain)
     if step_cap < 1:
@@ -318,6 +297,7 @@ def _run_block_scalar(
     track: bool,
 ):
     worlds, prior_cum = _prior(domain)
+    step = _cached_successors(controller, domain)
     epistemic = has_belief_atoms(domain.goal)
     target_formula = _bel_target(domain) if track else None
     successes = terminated = truncated = 0
@@ -331,50 +311,33 @@ def _run_block_scalar(
         for t in range(step_cap):
             if control == controller.final:
                 break
-            advised = controller.advice.get(control)
-            if advised is None:
+            branches = step(control, real)
+            if not branches:
                 status = "stuck"
                 break
-            action = domain.actions[advised]
-            if action.kind == "physical":
-                target = controller.transitions.get((control, NULL_OBSERVATION))
-                outcomes = domain.outcomes_of(advised, real)
-                if target is None or not outcomes:
-                    status = "stuck"
-                    break
-                cum = _cumulative([o.likelihood for o in outcomes])
-                choice = bisect_right(cum, float(uniforms[i, 1 + t]))
-                chosen = outcomes[min(choice, len(outcomes) - 1)]
-                if track:
-                    belief = progress(belief, advised, domain)
-                real = domain.apply(chosen.action, real)
-                control = target
+            advised = controller.advice[control]
+            model = domain.sensing_models.get(advised)
+            if model is not None and model.is_gaussian:
+                # a sampled sensor value reports the nearest reading
+                value = float(real[model.mean_fluent]) + math.sqrt(
+                    model.variance
+                ) * float(normals[i, 1 + t])
+                branch = min(branches, key=lambda b: abs(value - b.reading.value))
+                observed = value
             else:
-                if not domain.poss(advised, real):
-                    status = "stuck"
-                    break
-                model = domain.sensing_models[advised]
-                if model.is_gaussian:
-                    value = float(real[model.mean_fluent]) + math.sqrt(
-                        model.variance
-                    ) * float(normals[i, 1 + t])
-                    reading = min(model.readings, key=lambda r: abs(value - r.value))
-                    if track:
-                        belief = condition(belief, advised, value, domain)
+                cum = _cumulative([b.likelihood for b in branches])
+                choice = bisect_right(cum, float(uniforms[i, 1 + t]))
+                branch = branches[min(choice, len(branches) - 1)]
+                observed = branch.reading
+            if track:
+                if model is None:
+                    belief = progress(belief, advised, domain)
                 else:
-                    live = model.positive_readings(real)
-                    cum = _cumulative(
-                        [model.likelihood(real, r.value) for r in live]
-                    )
-                    choice = bisect_right(cum, float(uniforms[i, 1 + t]))
-                    reading = live[min(choice, len(live) - 1)]
-                    if track:
-                        belief = condition(belief, advised, reading, domain)
-                target = controller.transitions.get((control, reading.observation))
-                if target is None:
-                    status = "stuck"
-                    break
-                control = target
+                    belief = condition(belief, advised, observed, domain)
+            if branch.target is None:
+                status = "stuck"
+                break
+            real, control = branch.world, branch.target
         if control == controller.final:
             terminated += 1
             if epistemic:

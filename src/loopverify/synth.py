@@ -1,17 +1,15 @@
 """Bounded synthesis: scan canonically enumerated controllers for ones
 that satisfy a correctness criterion.
 
-The candidate stream is fixed by enumerate_controllers, so for a given
-domain, criterion, and max_states the solutions and their order are
-reproducible. Worker threads only parallelize candidate checking; hits
-are still collected in stream order.
+The candidate stream is fixed by enumerate_controllers and candidates
+are checked one at a time in stream order, so for a given domain,
+criterion, and max_states the solutions and their order are
+reproducible.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Callable, Optional
 
 from .controller import Controller, enumerate_controllers
@@ -62,24 +60,21 @@ def parse_criterion(
 ) -> tuple[str, Callable]:
     """Map a criterion token to (canonical name, checker).
 
-    The checker has signature (controller, domain, workers=1) -> Verdict.
+    The checker has signature (controller, domain) -> Verdict.
     Recognized tokens: def4, def6, termination, def6+termination,
     weight:K, mass:K, def9, def9:existential, def9:adversarial.
     """
     token = token.strip()
     if token == "def4":
-        return "def4", lambda c, d, workers=1: verify_exact(c, d)
+        return "def4", verify_exact
     if token == "def6":
-        return "def6", lambda c, d, workers=1: verify_weak(c, d, workers=workers)
+        return "def6", verify_weak
     if token == "termination":
-        return "termination", lambda c, d, workers=1: verify_termination(c, d)
+        return "termination", verify_termination
     if token == "def6+termination":
-        def both(c, d, workers=1):
-            return _combined(
-                verify_weak(c, d, workers=workers), verify_termination(c, d)
-            )
-
-        return "def6+termination", both
+        return "def6+termination", lambda c, d: _combined(
+            verify_weak(c, d), verify_termination(c, d)
+        )
     if token.startswith("weight:") or token.startswith("mass:"):
         kind, _, raw = token.partition(":")
         try:
@@ -89,18 +84,14 @@ def parse_criterion(
                 f"criterion {token!r} needs a numeric threshold"
             ) from None
         if kind == "weight":
-            return token, lambda c, d, workers=1: verify_weight_threshold(
-                c, d, kappa, workers=workers
-            )
-        return token, lambda c, d, workers=1: verify_goal_mass(
-            c, d, kappa, workers=workers
-        )
+            return token, lambda c, d: verify_weight_threshold(c, d, kappa)
+        return token, lambda c, d: verify_goal_mass(c, d, kappa)
     if token == "def9" or token.startswith("def9:"):
         mode = token.partition(":")[2] or "existential"
         if mode not in ("existential", "adversarial"):
             raise CriterionError(f"unknown def9 mode {mode!r}")
 
-        def epistemic(c, d, workers=1):
+        def epistemic(c, d):
             return verify_epistemic(
                 c,
                 d,
@@ -108,7 +99,6 @@ def parse_criterion(
                 depth_bound=depth_bound,
                 poss_mode=poss_mode,
                 real_mode=real_mode,
-                workers=workers,
             )
 
         return f"def9:{mode}", epistemic
@@ -124,7 +114,6 @@ class SynthRequest:
     max_states: int
     limit: int = 1
     depth_bound: int = 64
-    workers: int = 1
     poss_mode: str = "belief"
     real_mode: str = "outcome"
 
@@ -157,36 +146,12 @@ def synthesize(request: SynthRequest) -> SynthResult:
         real_mode=request.real_mode,
     )
     result = SynthResult(criterion=name, max_states=request.max_states, searched=0)
-    stream = enumerate_controllers(request.domain, request.max_states)
-    if request.workers <= 1:
-        for candidate in stream:
-            result.searched += 1
-            verdict = checker(candidate, request.domain)
-            if verdict.status == "Holds":
-                result.solutions.append(candidate)
-                result.verdicts.append(verdict)
-                if len(result.solutions) >= request.limit:
-                    break
-        return result
-
-    batch_size = 64 * request.workers
-    with ThreadPoolExecutor(max_workers=request.workers) as pool:
-        while True:
-            batch = list(islice(stream, batch_size))
-            if not batch:
-                break
-            verdicts = list(
-                pool.map(lambda c: checker(c, request.domain, 1), batch)
-            )
-            stop = False
-            for candidate, verdict in zip(batch, verdicts):
-                result.searched += 1
-                if verdict.status == "Holds":
-                    result.solutions.append(candidate)
-                    result.verdicts.append(verdict)
-                    if len(result.solutions) >= request.limit:
-                        stop = True
-                        break
-            if stop:
+    for candidate in enumerate_controllers(request.domain, request.max_states):
+        result.searched += 1
+        verdict = checker(candidate, request.domain)
+        if verdict.status == "Holds":
+            result.solutions.append(candidate)
+            result.verdicts.append(verdict)
+            if len(result.solutions) >= request.limit:
                 break
     return result

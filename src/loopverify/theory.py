@@ -37,6 +37,23 @@ class DomainError(ValueError):
     """Raised for structurally invalid domain descriptions."""
 
 
+def _finite(value) -> bool:
+    """True for a JSON number that is finite; bools, NaN and infinities
+    are rejected."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _object(entry, what: str) -> dict:
+    """`entry` itself when it is a JSON object."""
+    if not isinstance(entry, dict):
+        raise DomainError(f"bad {what} entry: {entry!r}")
+    return entry
+
+
 @dataclass(frozen=True)
 class FluentDecl:
     name: str
@@ -243,25 +260,6 @@ class Domain:
             return []
         return [o for o in model.positive() if self.poss(o.action, world)]
 
-    def exact_observation(self, action: str, world: WorldState) -> str:
-        """Observation token under noise-free sensing.
-
-        Physical actions emit the null token. A sensing action must have
-        exactly one positive-likelihood reading at `world`; anything else
-        means the sensor is noisy and needs the belief-level semantics.
-        """
-        act = self.actions[action]
-        if act.kind == "physical":
-            return NULL_OBSERVATION
-        model = self.sensing_models[action]
-        live = model.positive_readings(world)
-        if len(live) != 1:
-            raise DomainError(
-                f"sensor of {action} is not noise-free at {world!r} "
-                f"({len(live)} live readings); use the belief-level semantics"
-            )
-        return live[0].observation
-
     def is_deterministic(self) -> bool:
         """True when every outcome model is the trivial self-outcome."""
         for model in self.outcome_models.values():
@@ -416,7 +414,7 @@ def _parse_actions(raw, fluents: dict) -> dict:
         effects = []
         targets = set()
         for eff in entry.get("effects", []):
-            target = eff.get("fluent")
+            target = _object(eff, "effect").get("fluent")
             if target not in fluents:
                 raise DomainError(f"effect of {name!r} targets unknown fluent {target!r}")
             if target in targets:
@@ -441,7 +439,7 @@ def _parse_outcome_models(raw, actions: dict) -> dict:
         raise DomainError("outcome_models must be a list")
     models = {}
     for entry in raw:
-        intended = entry.get("intended")
+        intended = _object(entry, "outcome model").get("intended")
         if intended not in actions:
             raise DomainError(f"outcome model for unknown action {intended!r}")
         if intended in models:
@@ -454,7 +452,7 @@ def _parse_outcome_models(raw, actions: dict) -> dict:
         outcomes = []
         seen = set()
         for item in declared:
-            actual = item.get("actual")
+            actual = _object(item, "outcome").get("actual")
             if actual not in actions:
                 raise DomainError(f"outcome of {intended!r} names unknown action {actual!r}")
             if actions[actual].kind != "physical":
@@ -463,7 +461,7 @@ def _parse_outcome_models(raw, actions: dict) -> dict:
                 raise DomainError(f"outcome model of {intended!r} repeats {actual!r}")
             seen.add(actual)
             likelihood = item.get("likelihood")
-            if not isinstance(likelihood, (int, float)) or likelihood < 0:
+            if not _finite(likelihood) or likelihood < 0:
                 raise DomainError(f"bad likelihood for outcome {actual!r} of {intended!r}")
             outcomes.append(Outcome(actual, float(likelihood)))
         if intended not in seen:
@@ -485,7 +483,7 @@ def _parse_sensing_models(raw, fluents: dict, actions: dict) -> dict:
         raise DomainError("sensing_models must be a list")
     sensing = {}
     for entry in raw:
-        name = entry.get("action")
+        name = _object(entry, "sensing model").get("action")
         if name not in actions:
             raise DomainError(f"sensing model for unknown action {name!r}")
         if actions[name].kind != "sensing":
@@ -496,6 +494,8 @@ def _parse_sensing_models(raw, fluents: dict, actions: dict) -> dict:
         readings = []
         tokens = set()
         for item in entry.get("readings", []):
+            if "token" not in _object(item, "reading"):
+                raise DomainError(f"reading of {name!r} needs a token: {item!r}")
             token = str(item["token"])
             if token == NULL_OBSERVATION:
                 raise DomainError(
@@ -511,7 +511,7 @@ def _parse_sensing_models(raw, fluents: dict, actions: dict) -> dict:
                     value = float(token)
                 except ValueError:
                     value = float(len(readings))
-            elif not isinstance(value, (int, float)) or isinstance(value, bool):
+            elif not _finite(value):
                 raise DomainError(f"bad value for reading {token!r} of {name!r}")
             observation = str(item.get("observation", token))
             if observation == NULL_OBSERVATION:
@@ -525,12 +525,12 @@ def _parse_sensing_models(raw, fluents: dict, actions: dict) -> dict:
         if "gaussian" in entry:
             if "table" in entry:
                 raise DomainError(f"sensor of {name!r} mixes table and gaussian forms")
-            gauss = entry["gaussian"]
+            gauss = _object(entry["gaussian"], "gaussian")
             mean_fluent = gauss.get("mean_fluent")
             if mean_fluent not in fluents or fluents[mean_fluent].kind != "int":
                 raise DomainError(f"gaussian sensor of {name!r} needs an integer mean fluent")
             variance = gauss.get("variance")
-            if not isinstance(variance, (int, float)) or variance <= 0:
+            if not _finite(variance) or variance <= 0:
                 raise DomainError(f"gaussian sensor of {name!r} needs variance > 0")
             sensing[name] = SensingModel(
                 name, tuple(readings), mean_fluent=mean_fluent, variance=float(variance)
@@ -540,7 +540,9 @@ def _parse_sensing_models(raw, fluents: dict, actions: dict) -> dict:
         rows = []
         for row in entry.get("table", []):
             try:
-                condition = parse_condition(row.get("when", "true"), fluents)
+                condition = parse_condition(
+                    _object(row, "sensor row").get("when", "true"), fluents
+                )
             except FormulaError as exc:
                 raise DomainError(f"bad sensor row for {name!r}: {exc}") from exc
             weights = row.get("likelihoods")
@@ -551,7 +553,7 @@ def _parse_sensing_models(raw, fluents: dict, actions: dict) -> dict:
                     raise DomainError(
                         f"sensor row for {name!r} uses undeclared reading {token!r}"
                     )
-                if not isinstance(weight, (int, float)) or weight < 0:
+                if not _finite(weight) or weight < 0:
                     raise DomainError(f"bad sensor likelihood for {name!r}: {weight!r}")
             rows.append((condition, {t: float(w) for t, w in weights.items()}))
         if not rows:
@@ -567,7 +569,7 @@ def _parse_initial(raw, fluents: dict) -> tuple:
     seen = set()
     total = 0.0
     for entry in raw:
-        assignment = entry.get("state")
+        assignment = _object(entry, "initial world").get("state")
         if not isinstance(assignment, dict):
             raise DomainError(f"bad initial world entry: {entry!r}")
         if set(assignment) != set(fluents):
@@ -582,7 +584,7 @@ def _parse_initial(raw, fluents: dict) -> tuple:
             raise DomainError(f"duplicate initial world {world!r}")
         seen.add(world)
         weight = entry.get("weight", 1.0)
-        if not isinstance(weight, (int, float)) or weight < 0:
+        if not _finite(weight) or weight < 0:
             raise DomainError(f"bad initial weight {weight!r}")
         total += float(weight)
         worlds.append((world, float(weight)))
@@ -643,19 +645,22 @@ def _check_effect_ranges(domain: Domain) -> None:
                     )
 
 
+def _sensor_worlds(domain: Domain, model: SensingModel):
+    """Worlds varying the fluents a table sensor's rows read, others
+    padded; None when there are too many to check statically."""
+    relevant = set()
+    for condition, _ in model.table:
+        relevant |= set(mentioned_fluents(condition))
+    return _small_assignments(domain, relevant)
+
+
 def _check_sensor_coverage(domain: Domain) -> None:
     """Every sensing model must give some reading positive likelihood
     everywhere (checked statically on small state spaces)."""
     for model in domain.sensing_models.values():
         if model.is_gaussian:
             continue  # densities are positive everywhere
-        relevant = set()
-        for condition, _ in model.table:
-            relevant |= set(mentioned_fluents(condition))
-        worlds = _small_assignments(domain, relevant)
-        if worlds is None:
-            continue
-        for world in worlds:
+        for world in _sensor_worlds(domain, model) or ():
             if not model.positive_readings(world):
                 raise DomainError(
                     f"sensor of {model.action!r} has no possible reading at {world!r}"

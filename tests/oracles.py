@@ -131,6 +131,42 @@ def weak_from(controller, domain: Domain, world: WorldState) -> bool:
     return walk(controller.initial, world)
 
 
+def branches(controller, domain: Domain, control, world: WorldState) -> list:
+    """Every (action, observation, next control, next world) edge one
+    controller step can take from (control, world)."""
+    if control == controller.final:
+        return []
+    advised = controller.advice.get(control)
+    if advised is None:
+        return []
+    action = domain.actions[advised]
+    if action.kind == "physical":
+        target = controller.transitions.get((control, "0"))
+        if target is None:
+            return []
+        model = domain.outcome_models.get(advised)
+        if model is None:
+            options = [advised] if domain.poss(advised, world) else []
+        else:
+            options = [
+                o.action
+                for o in model.outcomes
+                if o.likelihood > 0.0 and domain.poss(o.action, world)
+            ]
+        return [(a, "0", target, domain.apply(a, world)) for a in options]
+    if not domain.poss(advised, world):
+        return []
+    model = domain.sensing_models[advised]
+    edges = []
+    for reading in model.readings:
+        if sensor_likelihood(model, world, reading.value) <= 0.0:
+            continue
+        target = controller.transitions.get((control, reading.observation))
+        if target is not None:
+            edges.append((advised, reading.observation, target, world))
+    return edges
+
+
 def absorption_by_dicts(controller, domain: Domain, step_cap: int) -> dict:
     """Success and termination mass within step_cap, propagating a
     distribution stored as a plain dict over (control, world)."""

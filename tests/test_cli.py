@@ -119,6 +119,62 @@ def test_verify_unknown_criterion_lists_tokens(capsys):
     assert "def4" in err and "mass:" in err
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (["initial"], [1]),
+        (["outcome_models"], [1]),
+        (["outcome_models"], [{"intended": "chop", "outcomes": [1]}]),
+        (["sensing_models"], [1]),
+        (["sensing_models", 0, "readings"], [1]),
+        (["sensing_models", 0, "readings", 0], {"observation": "down"}),
+        (["sensing_models", 0, "table"], [1]),
+        (["actions", 0, "effects"], [1]),
+        (["initial", 0, "weight"], float("nan")),
+        (["initial", 0, "weight"], float("inf")),
+        (["initial", 0, "weight"], True),
+        (["sensing_models", 0, "readings", 0, "value"], float("nan")),
+        (["sensing_models", 0, "table", 0, "likelihoods", "down"], float("inf")),
+        (
+            ["outcome_models"],
+            [{"intended": "chop", "outcomes": [{"actual": "chop", "likelihood": float("nan")}]}],
+        ),
+    ],
+    ids=[
+        "initial-entry",
+        "outcome-model-entry",
+        "outcome-entry",
+        "sensing-model-entry",
+        "reading-entry",
+        "reading-token",
+        "sensor-row",
+        "effect-entry",
+        "weight-nan",
+        "weight-infinity",
+        "weight-bool",
+        "reading-value-nan",
+        "sensor-likelihood-infinity",
+        "outcome-likelihood-nan",
+    ],
+)
+def test_malformed_domain_entries_exit_three(capsys, tmp_path, path, value):
+    with open(fixture_path("treechop_exact.json")) as handle:
+        data = json.load(handle)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    domain = tmp_path / "domain.json"
+    domain.write_text(json.dumps(data))  # NaN and Infinity as JSON allows them
+    for criterion in ("def6", "mass:0.5"):
+        code, out, err = run_cli(
+            capsys, "verify", str(domain), fixture_path("fig1.json"), "--criterion", criterion
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_missing_file_is_input_error(capsys):
     code, _out, err = run_cli(
         capsys,

@@ -195,13 +195,6 @@ def test_epistemic_mode_validation(fig1, treechop_noisyact_bel):
         verify_epistemic(fig1, treechop_noisyact_bel, mode="pessimistic")
 
 
-def test_epistemic_workers_agree(fig1, treechop_noisyact_bel):
-    seq = verify_epistemic(fig1, treechop_noisyact_bel, workers=1)
-    par = verify_epistemic(fig1, treechop_noisyact_bel, workers=4)
-    assert seq.status == par.status == "Holds"
-    assert [w.key() for w, _t in seq.witnesses] == [w.key() for w, _t in par.witnesses]
-
-
 def test_existential_on_gaussian_sensing(fig3, treechop_noisy):
     verdict = verify_epistemic(fig3, treechop_noisy, depth_bound=12)
     assert verdict.status in ("Holds", "Unknown")

@@ -7,21 +7,43 @@ from conftest import fixture_path
 
 from loopverify.controller import Controller
 from loopverify.exec_exact import (
-    Config,
     Verdict,
     VerifierInputError,
-    step_exact,
-    step_outcomes,
+    successors,
     verify_exact,
     verify_goal_mass,
     verify_termination,
     verify_weak,
     verify_weight_threshold,
 )
+from loopverify.formulas import eval_condition
 from loopverify.theory import parse_domain, world_from_dict
 
 from generators import random_controller, random_population
-from oracles import weak_from
+from oracles import branches, weak_from
+
+
+def replay(controller, domain, world, trace):
+    """Walk a witness trace from (initial, world) along oracle edges;
+    returns the (control, world) it ends at."""
+    control, current = controller.initial, world
+    for cfg, action, obs in trace:
+        assert (cfg.control, cfg.world) == (control, current)
+        edges = {
+            (a, o): (target, nxt)
+            for a, o, target, nxt in branches(controller, domain, control, current)
+        }
+        assert (action, obs) in edges
+        control, current = edges[(action, obs)]
+    return control, current
+
+
+def assert_witnesses_replay(controller, domain, verdict):
+    assert verdict.status == "Holds"
+    for world, trace in verdict.witnesses:
+        control, current = replay(controller, domain, world, trace)
+        assert control == controller.final
+        assert eval_condition(domain.goal, current)
 
 
 def test_exact_holds_on_fixture(fig1, treechop_exact):
@@ -147,10 +169,9 @@ def test_termination_witness_is_replayable(fig4, fig4_pickup):
     verdict = verify_termination(fig4, fig4_pickup)
     assert verdict.status == "Fails"
     assert verdict.witness is not None
-    # replay: every witness step is a real outcome-branching edge
-    for cfg, action, _obs in verdict.witness:
-        successors = step_outcomes(fig4, fig4_pickup, cfg)
-        assert any(a == action for _n, a in successors)
+    # replay: every witness step is an edge of the independent oracle
+    control, world = replay(fig4, fig4_pickup, verdict.counterexample_world, verdict.witness)
+    assert f"control={control!r}, world={world!r}" in verdict.note
     # the dead end is the noop self-loop at control state 3
     last = verdict.witness[-1]
     assert last[1] == "noop"
@@ -220,24 +241,72 @@ def test_goal_mass_normalizes_unnormalized_priors(fig1):
     assert verify_goal_mass(fig1, domain, 0.99).status == "Holds"
 
 
-def test_workers_do_not_change_verdicts(fig1, treechop_metal):
-    for kappa in (0.1, 0.3):
-        seq = verify_weight_threshold(fig1, treechop_metal, kappa, workers=1)
-        par = verify_weight_threshold(fig1, treechop_metal, kappa, workers=4)
-        assert seq.status == par.status
-    seq = verify_goal_mass(fig1, treechop_metal, 0.7, workers=1)
-    par = verify_goal_mass(fig1, treechop_metal, 0.7, workers=4)
-    assert seq.status == par.status and seq.note == par.note
-
-
 def test_step_helpers(fig1, treechop_exact):
     w = world_from_dict(treechop_exact, {"d": 1})
-    cfg = Config(0, w)
-    nxt = step_exact(fig1, treechop_exact, cfg)
-    assert nxt == Config(1, world_from_dict(treechop_exact, {"d": 0}))
-    branches = step_outcomes(fig1, treechop_exact, cfg)
-    assert [n for n, _a in branches] == [nxt]
-    assert step_exact(fig1, treechop_exact, Config(2, w)) is None  # final
+    [chop] = successors(fig1, treechop_exact, 0, w)
+    assert (chop.target, chop.world) == (1, world_from_dict(treechop_exact, {"d": 0}))
+    assert (chop.action, chop.observation, chop.likelihood) == ("chop", "0", 1.0)
+    assert successors(fig1, treechop_exact, 2, w) == []  # final
+
+
+def test_successors_contract(fig1, treechop_exact, treechop_noisyact):
+    w0 = world_from_dict(treechop_exact, {"d": 0})
+    assert successors(fig1, treechop_exact, 0, w0) == []  # chop inexecutable
+    no_advice = Controller([0, 1], 0, 1, {}, {})
+    assert successors(no_advice, treechop_exact, 0, w0) == []
+    no_null = Controller([0, 1], 0, 1, {0: "chop"}, {(0, "up"): 1})
+    assert successors(no_null, treechop_exact, 0, world_from_dict(treechop_exact, {"d": 1})) == []
+    # a reading without a transition is still a branch
+    half = Controller([0, 1], 0, 1, {0: "getd"}, {(0, "down"): 1})
+    [up] = successors(half, treechop_exact, 0, world_from_dict(treechop_exact, {"d": 3}))
+    assert (up.reading.token, up.target) == ("up", None)
+    # outcome-model order, with likelihoods
+    w2 = world_from_dict(treechop_noisyact, {"d": 2})
+    outcomes = successors(fig1, treechop_noisyact, 0, w2)
+    assert [(b.action, b.world["d"]) for b in outcomes] == [("chop", 1), ("chop_noop", 2)]
+    assert sum(b.likelihood for b in outcomes) == pytest.approx(1.0)
+
+
+def test_witnesses_replay_on_fixtures(
+    fig1, fig4, treechop_exact, treechop_noisyact, treechop_metal, fig4_pickup
+):
+    assert_witnesses_replay(fig1, treechop_exact, verify_exact(fig1, treechop_exact))
+    for controller, domain in (
+        (fig1, treechop_exact),
+        (fig1, treechop_noisyact),
+        (fig4, fig4_pickup),
+    ):
+        assert_witnesses_replay(controller, domain, verify_weak(controller, domain))
+    assert_witnesses_replay(
+        fig1, treechop_metal, verify_weight_threshold(fig1, treechop_metal, 0.3)
+    )
+    verdict = verify_goal_mass(fig1, treechop_metal, 0.7)
+    assert verdict.witnesses  # the passing worlds: every wood world
+    assert all(world["material"] == "wood" for world, _trace in verdict.witnesses)
+    assert_witnesses_replay(fig1, treechop_metal, verdict)
+
+
+def test_witnesses_replay_on_random_pairs():
+    rng = random.Random(515)
+    replayed = 0
+    for domain in random_population(515, 40):
+        controller = random_controller(rng, domain, max_states=3)
+        checks = [
+            lambda: verify_weak(controller, domain),
+            lambda: verify_weight_threshold(controller, domain, 0.1),
+            lambda: verify_goal_mass(controller, domain, 0.5),
+        ]
+        if domain.is_deterministic():
+            checks.append(lambda: verify_exact(controller, domain))
+        for check in checks:
+            try:
+                verdict = check()
+            except VerifierInputError:
+                continue  # noisy sensing
+            if verdict.status == "Holds":
+                assert_witnesses_replay(controller, domain, verdict)
+                replayed += len(verdict.witnesses)
+    assert replayed > 0
 
 
 def test_weak_agrees_with_oracle_on_random_pairs():

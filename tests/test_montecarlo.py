@@ -1,16 +1,30 @@
+import json
 import math
 
 import pytest
 
 import loopverify.montecarlo as mc
+from loopverify.controller import Controller
 from loopverify.exec_exact import VerifierInputError
 from loopverify.montecarlo import absorption_probability, default_step_cap, simulate
 from loopverify.theory import parse_domain
 
+from conftest import fixture_path
 from generators import noisy_sensing_domain
 from oracles import absorption_by_dicts
 
 import random
+
+# chops in a self-loop from d=1: the run reaches a dead end (d=0, where
+# chop is inexecutable) on its first step and is stuck on its second
+CHOP_LOOP = Controller([0, 1], 0, 1, {0: "chop"}, {(0, "0"): 0})
+
+
+def chop_loop_domain():
+    with open(fixture_path("treechop_exact.json")) as handle:
+        data = json.load(handle)
+    data["initial"] = [{"state": {"d": 1}, "weight": 1.0}]
+    return parse_domain(data)
 
 
 def test_same_seed_same_report(fig1, treechop_noisyact):
@@ -45,6 +59,12 @@ def test_absorption_matches_oracle(fig1, treechop_noisyact, treechop_metal):
         ref = absorption_by_dicts(fig1, domain, step_cap=30)
         for key in ("success", "terminated", "stuck"):
             assert ours[key] == pytest.approx(ref[key], abs=1e-12)
+    domain = chop_loop_domain()
+    for cap in (1, 2, 3):
+        ours = absorption_probability(CHOP_LOOP, domain, step_cap=cap)
+        ref = absorption_by_dicts(CHOP_LOOP, domain, step_cap=cap)
+        for key in ("success", "terminated", "stuck"):
+            assert ours[key] == pytest.approx(ref[key], abs=1e-12)
 
 
 def test_absorption_splits_looping_mass(fig1, treechop_metal):
@@ -77,12 +97,19 @@ def test_absorption_rejects_gaussian_sensing(fig3, treechop_noisy):
 
 
 def test_scalar_and_vectorized_paths_agree(fig1, treechop_noisyact, monkeypatch):
-    fast = simulate(fig1, treechop_noisyact, runs=20000, step_cap=25, seed=7)
+    # the chop loop reaches a dead end on the last allowed step: truncated
+    cases = [
+        (fig1, treechop_noisyact, 20000, 25),
+        (CHOP_LOOP, chop_loop_domain(), 100, 1),
+    ]
+    fast = [simulate(c, d, runs=n, step_cap=cap, seed=7) for c, d, n, cap in cases]
     monkeypatch.setattr(mc, "build_chain", lambda *_args: None)
-    slow = simulate(fig1, treechop_noisyact, runs=20000, step_cap=25, seed=7)
-    assert slow.success_rate == fast.success_rate
-    assert slow.termination_rate == fast.termination_rate
-    assert slow.truncated_rate == fast.truncated_rate
+    slow = [simulate(c, d, runs=n, step_cap=cap, seed=7) for c, d, n, cap in cases]
+    for a, b in zip(fast, slow):
+        assert b.success_rate == a.success_rate
+        assert b.termination_rate == a.termination_rate
+        assert b.truncated_rate == a.truncated_rate
+    assert slow[1].truncated_rate == 1.0
 
 
 def test_belief_goal_forces_tracking(fig1, treechop_noisyact_bel):

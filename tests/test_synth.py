@@ -75,19 +75,6 @@ def test_synthesis_no_solution_below_three_states(treechop_exact):
     assert result.searched == 39  # every candidate with at most 2 states
 
 
-def test_synthesis_workers_are_deterministic(treechop_exact):
-    base = synthesize(
-        SynthRequest(domain=treechop_exact, criterion="def4", max_states=3, limit=2)
-    )
-    threaded = synthesize(
-        SynthRequest(
-            domain=treechop_exact, criterion="def4", max_states=3, limit=2, workers=4
-        )
-    )
-    assert [c.key() for c in base.solutions] == [c.key() for c in threaded.solutions]
-    assert base.searched == threaded.searched
-
-
 def test_synthesis_with_weak_criterion(treechop_metal):
     request = SynthRequest(domain=treechop_metal, criterion="mass:0.7", max_states=3)
     result = synthesize(request)

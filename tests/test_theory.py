@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from loopverify.controller import Controller
+from loopverify.exec_exact import successors
 from loopverify.theory import (
     NULL_OBSERVATION,
     DomainError,
@@ -157,24 +159,37 @@ def test_outcomes_filter_executability():
     assert [o.action for o in domain.outcomes_of("chop", w2)] == ["chop", "smash"]
 
 
-def test_exact_observation():
+# chops on "0", then senses: "down" finishes, "up" chops again
+CHOP_SENSE = Controller(
+    [0, 1, 2], 0, 2, {0: "chop", 1: "getd"}, {(0, "0"): 1, (1, "down"): 2, (1, "up"): 0}
+)
+
+
+def test_successors_report_the_exact_observation():
     domain = parse_domain(BASE)
     w0 = world_from_dict(domain, {"d": 0, "material": "wood"})
     w2 = world_from_dict(domain, {"d": 2, "material": "wood"})
-    assert domain.exact_observation("getd", w0) == "down"
-    assert domain.exact_observation("getd", w2) == "up"
-    assert domain.exact_observation("chop", w2) == NULL_OBSERVATION
+    [down] = successors(CHOP_SENSE, domain, 1, w0)
+    assert (down.observation, down.target, down.world) == ("down", 2, w0)
+    [up] = successors(CHOP_SENSE, domain, 1, w2)
+    assert (up.observation, up.target, up.world) == ("up", 0, w2)
+    [chop] = successors(CHOP_SENSE, domain, 0, w2)
+    assert chop.observation == NULL_OBSERVATION and chop.reading is None
+    assert (chop.action, chop.target, chop.world["d"]) == ("chop", 1, 1)
 
 
-def test_noisy_sensor_has_no_exact_observation():
+def test_successors_branch_over_noisy_readings():
     data = variant()
     data["sensing_models"][0]["table"] = [
         {"when": "true", "likelihoods": {"down": 0.5, "up": 0.5}}
     ]
     domain = parse_domain(data)
     w = world_from_dict(domain, {"d": 0, "material": "wood"})
-    with pytest.raises(DomainError):
-        domain.exact_observation("getd", w)
+    branches = successors(CHOP_SENSE, domain, 1, w)
+    assert [(b.reading.token, b.likelihood, b.target) for b in branches] == [
+        ("down", 0.5, 2),
+        ("up", 0.5, 0),
+    ]
 
 
 def test_sensing_action_requires_model():
