@@ -105,6 +105,14 @@ def validate(controller: Controller, domain, strict: bool = False) -> list:
     return defects
 
 
+def _scalar(value, what: str):
+    """`value` if it is a string, a number or null; states, actions and
+    observations are compared and hashed, so lists and objects cannot be."""
+    if value is not None and not isinstance(value, (str, int, float)):
+        raise ControllerError(f"{what} must be a string or a number, not {value!r}")
+    return value
+
+
 def from_json_dict(data: dict) -> Controller:
     if not isinstance(data, dict):
         raise ControllerError("controller file must be a JSON object")
@@ -114,9 +122,16 @@ def from_json_dict(data: dict) -> Controller:
     states = data["states"]
     if not isinstance(states, list) or not states:
         raise ControllerError("states must be a nonempty list")
+    for state in states:
+        _scalar(state, "a state")
+    _scalar(data["initial"], "initial")
+    _scalar(data["final"], "final")
     advice = data["advice"]
     if not isinstance(advice, dict):
         raise ControllerError("advice must be an object")
+    for state, action in advice.items():
+        _scalar(state, "an advice key")
+        _scalar(action, f"the advice for {state!r}")
     transitions = {}
     raw = data["transitions"]
     if not isinstance(raw, list):
@@ -127,7 +142,7 @@ def from_json_dict(data: dict) -> Controller:
     for entry in raw:
         if not isinstance(entry, list) or len(entry) != 3:
             raise ControllerError(f"bad transition entry: {entry!r}")
-        source, obs, target = entry
+        source, obs, target = (_scalar(part, "a transition entry") for part in entry)
         if (source, str(obs)) in transitions:
             raise ControllerError(f"duplicate transition for ({source!r}, {obs!r})")
         transitions[(source, str(obs))] = target

@@ -1,14 +1,21 @@
 """Seeded Monte-Carlo rollouts of a controller against a domain.
 
-Randomness is drawn from two counter-based Philox streams per report:
-key (seed, 0) yields a uniform matrix and key (seed, 1) a standard-normal
-matrix, each generated in blocks of RUN_BLOCK rows and step_cap+1
-columns. Run i reads row i of its block; column 0 picks the initial
-world and column 1+t drives step t (uniforms for outcome and discrete
-reading choices, normals for continuous sensor values). Decisions are
-pure functions of those cells, so the vectorized fast path and the
-scalar general path produce identical reports, and any run can be
-replayed in isolation.
+Randomness comes from two counter-based Philox streams per report, each
+laid out as a matrix of one row per run and step_cap+1 columns: key
+(seed, 0) gives uniforms and key (seed, 1) standard normals. Run i reads
+row i; column 0 picks the initial world and column 1+t drives step t
+(uniforms for outcome and discrete reading choices, normals for
+continuous sensor values). Decisions are pure functions of those cells,
+so the vectorized fast path and the scalar general path produce
+identical reports.
+
+Neither matrix is ever held whole. Cells are drawn a window of WINDOW
+columns at a time, and a run stops drawing uniforms once it is absorbed.
+Uniform cell (i, c) is draw i*(step_cap+1) + c of its stream, so the
+uniforms a run never reads are skipped by advancing the Philox counter.
+Normals come from a ziggurat sampler that consumes a variable number of
+raw draws, so their rows cannot be positioned: each row is drawn in
+full, in order, and a run can be replayed alone only by its uniforms.
 
 When the goal is objective and all sensing is discrete, the controller
 and domain collapse into a finite Markov chain over configs; the same
@@ -36,7 +43,8 @@ from .exec_exact import (
 from .formulas import BeliefAtom, eval_condition, has_belief_atoms
 from .theory import Domain
 
-RUN_BLOCK = 8192
+RUN_BLOCK = 8192  # runs stepped together on the vectorized path
+WINDOW = 1024  # columns of random cells held per run: 64 MB at RUN_BLOCK rows
 
 
 @dataclass
@@ -182,7 +190,10 @@ def absorption_probability(
             matrix[i, target] += edge - prev
             prev = edge
     for _step in range(step_cap):
-        dist = dist @ matrix
+        moved = dist @ matrix
+        if np.array_equal(moved, dist):
+            break  # a fixed point: every later product is this one
+        dist = moved
     kinds = np.array(chain.kinds)
     return {
         "success": float(dist[kinds == "success"].sum()),
@@ -219,35 +230,14 @@ def simulate(
 
     track = track_belief or has_belief_atoms(domain.goal)
     chain = None if track else build_chain(controller, domain)
-    needs_normals = any(m.is_gaussian for m in domain.sensing_models.values())
-
-    uniform_rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
-    normal_rng = np.random.Generator(np.random.Philox(key=[seed, 1]))
-    width = step_cap + 1
-
-    successes = 0
-    terminated = 0
-    truncated = 0
-    bel_sum = 0.0
-    done = 0
-    while done < runs:
-        count = min(RUN_BLOCK, runs - done)
-        uniforms = uniform_rng.random((count, width))
-        normals = normal_rng.standard_normal((count, width)) if needs_normals else None
-        if chain is not None:
-            s, t, u = _run_block_vectorized(chain, uniforms, step_cap)
-            successes += s
-            terminated += t
-            truncated += u
-        else:
-            s, t, u, b = _run_block_scalar(
-                controller, domain, uniforms, normals, step_cap, track
-            )
-            successes += s
-            terminated += t
-            truncated += u
-            bel_sum += b
-        done += count
+    uniforms = _Uniforms(seed, step_cap + 1)
+    if chain is not None:
+        successes, terminated, truncated = _run_vectorized(chain, uniforms, runs)
+        bel_sum = 0.0
+    else:
+        successes, terminated, truncated, bel_sum = _run_scalar(
+            controller, domain, uniforms, runs, track
+        )
 
     success_rate = successes / runs
     return SimReport(
@@ -262,53 +252,147 @@ def simulate(
     )
 
 
-def _run_block_vectorized(chain: _Chain, uniforms, step_cap: int):
-    width = max(len(c) for c in chain.cums)
+class _Uniforms:
+    """The uniform stream of the module docstring, drawing only the cells
+    asked for. Cell (row, column) is draw row*width + column of
+    Philox(key=[seed, 0]); Philox's advance(d) skips 4*d draws."""
+
+    def __init__(self, seed: int, width: int):
+        self.seed = seed
+        self.width = width
+        self._restart()
+
+    def _restart(self) -> None:
+        self.gen = np.random.Generator(np.random.Philox(key=[self.seed, 0]))
+        self.position = 0  # draws consumed from gen
+
+    def _seek(self, target: int) -> None:
+        if target < self.position:
+            # each window of the vectorized path starts back at its first row
+            self._restart()
+        if target == self.position:
+            return
+        # finish the current group of four; advance() drops what is left of it
+        head = min(-self.position % 4, target - self.position)
+        self.gen.random(head)
+        self.position += head
+        if target > self.position:
+            self.gen.bit_generator.advance((target - self.position) // 4)
+            self.gen.random((target - self.position) % 4)
+            self.position = target
+
+    def cells(self, rows, start: int, stop: int) -> np.ndarray:
+        """Columns [start, stop) of the given rows, in increasing order."""
+        count = stop - start
+        if count == self.width and rows[-1] - rows[0] == len(rows) - 1:
+            # whole consecutive rows are one contiguous stretch of the stream
+            self._seek(int(rows[0]) * self.width)
+            self.position += len(rows) * count
+            return self.gen.random((len(rows), count))
+        out = np.empty((len(rows), count))
+        for row, cells in zip(rows, out):
+            self._seek(int(row) * self.width + start)
+            self.gen.random(out=cells)
+            self.position += count
+        return out
+
+
+class _Row:
+    """One run's row of a stream, drawn WINDOW columns at a time as its
+    cells are read in increasing column order."""
+
+    def __init__(self, draw, width: int):
+        self.draw = draw  # (start, stop) -> the row's cells in [start, stop)
+        self.width = width
+        self.start = self.stop = 0
+        self.window = None
+
+    def __getitem__(self, column: int) -> float:
+        while column >= self.stop:
+            self.start, self.stop = self.stop, min(self.stop + WINDOW, self.width)
+            self.window = self.draw(self.start, self.stop)
+        return float(self.window[column - self.start])
+
+    def finish(self) -> None:
+        """Draw the columns not read yet, one window at a time."""
+        while self.stop < self.width:
+            self[self.stop]
+
+
+def _run_vectorized(chain: _Chain, uniforms: _Uniforms, runs: int):
+    """Step blocks of RUN_BLOCK runs together through the chain, window by
+    window, dropping absorbed runs at each window start and stopping once
+    every run is absorbed. An absorbing config (success, failure, stuck)
+    self-loops with probability 1, so its skipped steps change no count."""
+    fanout = max(len(c) for c in chain.cums)
     n = len(chain.kinds)
-    cum_matrix = np.full((n, width), 2.0)
-    target_matrix = np.zeros((n, width), dtype=np.int64)
+    cum_matrix = np.full((n, fanout), 2.0)
+    target_matrix = np.zeros((n, fanout), dtype=np.int64)
     for i in range(n):
         cum_matrix[i, : len(chain.cums[i])] = chain.cums[i]
         target_matrix[i, : len(chain.targets[i])] = chain.targets[i]
         target_matrix[i, len(chain.targets[i]) :] = i
+    kinds = np.array(chain.kinds)
+    absorbed = kinds != "step"
     init_targets = np.array(chain.init_indices, dtype=np.int64)
     prior_cum = np.array(chain.prior_cum)
 
-    picks = np.searchsorted(prior_cum, uniforms[:, 0], side="right")
-    picks = np.minimum(picks, len(init_targets) - 1)
-    state = init_targets[picks]
-    for t in range(step_cap):
-        draw = uniforms[:, 1 + t]
-        choice = (draw[:, None] >= cum_matrix[state]).sum(axis=1)
-        state = target_matrix[state, choice]
-    kinds = np.array(chain.kinds)[state]
-    successes = int((kinds == "success").sum())
-    terminated = successes + int((kinds == "failure").sum())
-    truncated = int((kinds == "step").sum())
+    ends = np.zeros(n, dtype=np.int64)  # runs by the config they end in
+    for first in range(0, runs, RUN_BLOCK):
+        rows = np.arange(first, min(first + RUN_BLOCK, runs))
+        for start in range(0, uniforms.width, WINDOW):
+            stop = min(start + WINDOW, uniforms.width)
+            cells = uniforms.cells(rows, start, stop)
+            if start == 0:
+                picks = np.searchsorted(prior_cum, cells[:, 0], side="right")
+                state = init_targets[np.minimum(picks, len(init_targets) - 1)]
+            for column in range(max(start, 1), stop):
+                draw = cells[:, column - start]
+                choice = (draw[:, None] >= cum_matrix[state]).sum(axis=1)
+                state = target_matrix[state, choice]
+                if absorbed[state].all():
+                    break
+            done = absorbed[state]
+            ends += np.bincount(state[done], minlength=n)
+            rows, state = rows[~done], state[~done]
+            if not rows.size:
+                break
+        ends += np.bincount(state, minlength=n)
+    successes = int(ends[kinds == "success"].sum())
+    terminated = successes + int(ends[kinds == "failure"].sum())
+    truncated = int(ends[kinds == "step"].sum())
     return successes, terminated, truncated
 
 
-def _run_block_scalar(
+def _run_scalar(
     controller: Controller,
     domain: Domain,
-    uniforms,
-    normals,
-    step_cap: int,
+    uniforms: _Uniforms,
+    runs: int,
     track: bool,
 ):
+    """Step one run at a time, drawing its uniform and normal rows lazily."""
     worlds, prior_cum = _prior(domain)
     step = _cached_successors(controller, domain)
     epistemic = has_belief_atoms(domain.goal)
     target_formula = _bel_target(domain) if track else None
+    width = uniforms.width
+    normals = None
+    if any(m.is_gaussian for m in domain.sensing_models.values()):
+        normals = np.random.Generator(np.random.Philox(key=[uniforms.seed, 1]))
     successes = terminated = truncated = 0
     bel_sum = 0.0
-    for i in range(uniforms.shape[0]):
-        pick = bisect_right(prior_cum, float(uniforms[i, 0]))
+    for i in range(runs):
+        u = _Row(lambda start, stop, i=i: uniforms.cells([i], start, stop)[0], width)
+        z = None
+        if normals is not None:
+            z = _Row(lambda start, stop: normals.standard_normal(stop - start), width)
+        pick = bisect_right(prior_cum, u[0])
         real = worlds[min(pick, len(worlds) - 1)]
         belief = initial_belief(domain) if track else None
         control = controller.initial
         status = "step"
-        for t in range(step_cap):
+        for t in range(width - 1):
             if control == controller.final:
                 break
             branches = step(control, real)
@@ -321,12 +405,12 @@ def _run_block_scalar(
                 # a sampled sensor value reports the nearest reading
                 value = float(real[model.mean_fluent]) + math.sqrt(
                     model.variance
-                ) * float(normals[i, 1 + t])
+                ) * z[1 + t]
                 branch = min(branches, key=lambda b: abs(value - b.reading.value))
                 observed = value
             else:
                 cum = _cumulative([b.likelihood for b in branches])
-                choice = bisect_right(cum, float(uniforms[i, 1 + t]))
+                choice = bisect_right(cum, u[1 + t])
                 branch = branches[min(choice, len(branches) - 1)]
                 observed = branch.reading
             if track:
@@ -338,6 +422,8 @@ def _run_block_scalar(
                 status = "stuck"
                 break
             real, control = branch.world, branch.target
+        if z is not None:
+            z.finish()  # the next run's normals start after this whole row
         if control == controller.final:
             terminated += 1
             if epistemic:

@@ -175,6 +175,48 @@ def test_malformed_domain_entries_exit_three(capsys, tmp_path, path, value):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (["states"], [[0], 1, 2]),
+        (["initial"], [0]),
+        (["final"], {}),
+        (["advice", "0"], ["chop"]),
+        (["transitions", 0, 0], [0]),
+        (["transitions", 0, 1], ["0"]),
+        (["transitions", 0, 2], [1]),
+    ],
+    ids=[
+        "nested-state",
+        "initial-list",
+        "final-object",
+        "advice-list",
+        "transition-source-list",
+        "transition-observation-list",
+        "transition-target-list",
+    ],
+)
+def test_malformed_controller_entries_exit_three(capsys, tmp_path, path, value):
+    with open(fixture_path("fig1.json")) as handle:
+        data = json.load(handle)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    controller = tmp_path / "controller.json"
+    controller.write_text(json.dumps(data))
+    domain = fixture_path("treechop_noisyact.json")
+    for argv in (
+        ["verify", domain, str(controller), "--criterion", "def6"],
+        ["simulate", domain, str(controller), "--runs", "5", "--seed", "0"],
+        ["export", str(controller)],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_missing_file_is_input_error(capsys):
     code, _out, err = run_cli(
         capsys,

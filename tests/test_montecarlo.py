@@ -1,6 +1,11 @@
 import json
 import math
+import os
+import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 import loopverify.montecarlo as mc
@@ -13,8 +18,6 @@ from conftest import fixture_path
 from generators import noisy_sensing_domain
 from oracles import absorption_by_dicts
 
-import random
-
 # chops in a self-loop from d=1: the run reaches a dead end (d=0, where
 # chop is inexecutable) on its first step and is stuck on its second
 CHOP_LOOP = Controller([0, 1], 0, 1, {0: "chop"}, {(0, "0"): 0})
@@ -24,6 +27,16 @@ def chop_loop_domain():
     with open(fixture_path("treechop_exact.json")) as handle:
         data = json.load(handle)
     data["initial"] = [{"state": {"d": 1}, "weight": 1.0}]
+    return parse_domain(data)
+
+
+def thick_noisyact_domain(thickness):
+    with open(fixture_path("treechop_noisyact.json")) as handle:
+        data = json.load(handle)
+    data["fluents"][0]["range"] = [0, thickness]
+    data["initial"] = [
+        {"state": {"d": d}, "weight": 1.0 / thickness} for d in range(1, thickness + 1)
+    ]
     return parse_domain(data)
 
 
@@ -67,6 +80,40 @@ def test_absorption_matches_oracle(fig1, treechop_noisyact, treechop_metal):
             assert ours[key] == pytest.approx(ref[key], abs=1e-12)
 
 
+def test_absorption_stops_at_an_exact_fixed_point(fig1, treechop_noisyact):
+    # the chains settle at steps 698 and 906 of 2,000
+    cap = 2000
+    for domain in (treechop_noisyact, thick_noisyact_domain(60)):
+        chain = mc.build_chain(fig1, domain)
+        n = len(chain.kinds)
+        dist = np.zeros(n)
+        previous = 0.0
+        for idx, cum in zip(chain.init_indices, chain.prior_cum):
+            dist[idx] += cum - previous
+            previous = cum
+        matrix = np.zeros((n, n))
+        for i in range(n):
+            prev = 0.0
+            for edge, target in zip(chain.cums[i], chain.targets[i]):
+                matrix[i, target] += edge - prev
+                prev = edge
+        settled = None
+        for step in range(cap):
+            moved = dist @ matrix
+            if settled is None and np.array_equal(moved, dist):
+                settled = step
+            dist = moved
+        assert settled is not None and settled < cap  # the early exit is taken
+        kinds = np.array(chain.kinds)
+        full = {
+            "success": float(dist[kinds == "success"].sum()),
+            "terminated": float(dist[(kinds == "success") | (kinds == "failure")].sum()),
+            "stuck": float(dist[kinds == "stuck"].sum()),
+            "truncated": float(dist[kinds == "step"].sum()),
+        }
+        assert absorption_probability(fig1, domain, step_cap=cap) == full
+
+
 def test_absorption_splits_looping_mass(fig1, treechop_metal):
     # the metal world cycles chop/getd forever: truncated, never stuck
     dist = absorption_probability(fig1, treechop_metal, step_cap=50)
@@ -96,11 +143,15 @@ def test_absorption_rejects_gaussian_sensing(fig3, treechop_noisy):
         absorption_probability(fig3, treechop_noisy, step_cap=10)
 
 
-def test_scalar_and_vectorized_paths_agree(fig1, treechop_noisyact, monkeypatch):
-    # the chop loop reaches a dead end on the last allowed step: truncated
+def test_scalar_and_vectorized_paths_agree(
+    fig1, treechop_noisyact, treechop_metal, monkeypatch
+):
+    # the chop loop reaches a dead end on the last allowed step: truncated;
+    # the metal world's runs loop on through more than one window of draws
     cases = [
         (fig1, treechop_noisyact, 20000, 25),
         (CHOP_LOOP, chop_loop_domain(), 100, 1),
+        (fig1, treechop_metal, 300, mc.WINDOW + 100),
     ]
     fast = [simulate(c, d, runs=n, step_cap=cap, seed=7) for c, d, n, cap in cases]
     monkeypatch.setattr(mc, "build_chain", lambda *_args: None)
@@ -110,6 +161,77 @@ def test_scalar_and_vectorized_paths_agree(fig1, treechop_noisyact, monkeypatch)
         assert b.termination_rate == a.termination_rate
         assert b.truncated_rate == a.truncated_rate
     assert slow[1].truncated_rate == 1.0
+    assert 0.0 < slow[2].truncated_rate < 1.0
+
+
+def test_lazy_uniform_cells_match_the_eager_matrix():
+    seed, width = 13, 37  # rows start at every offset within Philox's groups of four
+    runs = mc.RUN_BLOCK + 50
+    eager = np.random.Generator(np.random.Philox(key=[seed, 0])).random((runs, width))
+    rng = random.Random(4)
+    cases = [
+        (range(runs), 0, width),  # every row whole: one contiguous draw
+        ([0, 1, 2], 1, 2),
+        ([3, 5, 6], 2, 37),
+        (range(mc.RUN_BLOCK, runs), 0, width),  # the second block alone
+        ([mc.RUN_BLOCK + 1, mc.RUN_BLOCK + 3], 5, 9),
+    ]
+    for _ in range(100):
+        rows = sorted(rng.sample(range(runs), rng.randint(1, 40)))
+        start = rng.randrange(width)
+        cases.append((rows, start, rng.randint(start + 1, width)))
+    uniforms = mc._Uniforms(seed, width)
+    for rows, start, stop in cases:  # the same reader, seeking back and forth
+        rows = np.array(rows)
+        assert np.array_equal(uniforms.cells(rows, start, stop), eager[rows, start:stop])
+
+
+@pytest.mark.parametrize("window", [1, 3, 8])
+def test_reports_do_not_depend_on_the_window(
+    fig1, fig3, treechop_noisyact, treechop_metal, treechop_noisy, monkeypatch, window
+):
+    cases = [
+        (fig1, treechop_noisyact, 500, 25, False),
+        (fig1, treechop_metal, 300, 30, False),
+        (fig1, treechop_noisyact, 60, 25, True),
+        (fig3, treechop_noisy, 60, 20, False),  # Gaussian sensing: normal rows
+    ]
+
+    def reports():
+        return [
+            simulate(c, d, runs=n, step_cap=cap, seed=3, track_belief=track)
+            for c, d, n, cap, track in cases
+        ]
+
+    whole_rows = reports()
+    monkeypatch.setattr(mc, "WINDOW", window)
+    assert reports() == whole_rows
+
+
+def test_memory_does_not_grow_with_the_step_cap():
+    resource = pytest.importorskip("resource")
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    # one BLAS thread: each thread's buffers would count against the cap
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    # eager draws would need 20 x 20,000,001 doubles, about 3 GB
+    argv = [
+        sys.executable, "-m", "loopverify.cli", "simulate",
+        fixture_path("treechop_noisyact.json"), fixture_path("fig1.json"),
+        "--step-cap", "20000000", "--runs", "20", "--seed", "0", "--json",
+    ]
+    done = subprocess.run(
+        argv, env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=cap_address_space,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["termination_rate"] == 1.0
 
 
 def test_belief_goal_forces_tracking(fig1, treechop_noisyact_bel):
