@@ -349,14 +349,18 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (
+        # input errors and the errors of reading a file; formula and
+        # s-expression errors arrive wrapped in DomainError and belief
+        # errors never leave the engines, so anything else is a fault of
+        # the program and keeps its traceback
         DomainError,
         ControllerError,
         ScenarioError,
         CriterionError,
         VerifierInputError,
-        FileNotFoundError,
+        OSError,
         json.JSONDecodeError,
-        ValueError,
+        UnicodeDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _INPUT_ERROR

@@ -16,8 +16,8 @@ Scenario files replay one designated run instead.
 
 from __future__ import annotations
 
+import functools
 import json
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,6 +37,7 @@ from .exec_exact import (
     VerifierInputError,
     _cached_successors,
     _checked,
+    _Search,
     successors,
 )
 from .theory import NULL_OBSERVATION, Domain, WorldState
@@ -80,6 +81,14 @@ def parse_scenario(data) -> list:
     for entry in data:
         if not isinstance(entry, dict) or "advised_action" not in entry:
             raise ScenarioError(f"bad scenario step: {entry!r}")
+        for name in ("advised_action", "actual_outcome", "reading"):
+            value = entry.get(name)
+            if value is None and name != "advised_action":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                raise ScenarioError(
+                    f"bad scenario step: {name} must be a string or a number: {entry!r}"
+                )
         reading = entry.get("reading")
         steps.append(
             ScenarioStep(
@@ -268,9 +277,12 @@ def _successors(
     poss_mode: str,
     real_mode: str,
 ):
-    """Positive-likelihood successor nodes of (control, belief, real);
-    `step` gives the kernel's branches at (control, real)."""
-    control, belief, real = node
+    """Positive-likelihood successor nodes of (control, real, belief key,
+    belief), none at the final state; `step` gives the kernel's branches
+    at (control, real). Successors sharing a belief share its key."""
+    control, real, _belief_key, belief = node
+    if control == controller.final:
+        return []
     advised = controller.advice.get(control)
     if advised is None:
         return []
@@ -287,8 +299,9 @@ def _successors(
             next_belief = progress(belief, advised, domain)
         except BeliefAnnihilated:
             return []
+        next_key = next_belief.key()
         return [
-            ((b.target, next_belief, b.world), b.action, NULL_OBSERVATION)
+            ((b.target, b.world, next_key, next_belief), b.action, NULL_OBSERVATION)
             for b in branches
             if real_mode != "intended" or b.action == advised
         ]
@@ -300,116 +313,60 @@ def _successors(
             next_belief = condition(belief, advised, b.reading, domain)
         except ObservationImpossible:
             continue
-        nodes.append(((b.target, next_belief, real), b.reading.token, b.observation))
+        nodes.append(
+            ((b.target, real, next_belief.key(), next_belief), b.reading.token, b.observation)
+        )
     return nodes
 
 
 def _node_key(node: tuple) -> tuple:
-    control, belief, real = node
-    return (control, real.key(), belief.key())
+    """(control, real, belief key): beliefs merge under the key rounding,
+    and a trace step at this key is Config(key[0], key[1])."""
+    return node[:3]
 
 
-def _search_existential(
-    controller: Controller,
-    domain: Domain,
-    step,
-    real0: WorldState,
-    depth_bound: int,
-    poss_mode: str,
-    real_mode: str,
-):
-    """Breadth-first search for one goal-reaching run; returns
-    (status, trace or None)."""
-    start = (controller.initial, initial_belief(domain), real0)
-    parent = {_node_key(start): None}
-    nodes = {_node_key(start): start}
-    frontier = [start]
+def _search_existential(search: _Search, controller: Controller, domain: Domain):
+    """One goal-reaching run; returns (status, trace or None)."""
     truncated = False
-    for _depth in range(depth_bound + 1):
-        next_frontier = []
-        for node in frontier:
-            control, belief, _real = node
-            if control == controller.final:
-                if eval_goal(belief, domain.goal):
-                    steps = []
-                    key = _node_key(node)
-                    while parent[key] is not None:
-                        prev_key, action, obs = parent[key]
-                        prev = nodes[prev_key]
-                        steps.append((Config(prev[0], prev[2]), action, obs))
-                        key = prev_key
-                    steps.reverse()
-                    return "Holds", steps
-                continue
-            if _depth == depth_bound:
-                truncated = True
-                continue
-            for nxt, action, obs in _successors(
-                controller, domain, step, node, poss_mode, real_mode
-            ):
-                key = _node_key(nxt)
-                if key not in parent:
-                    parent[key] = (_node_key(node), action, obs)
-                    nodes[key] = nxt
-                    next_frontier.append(nxt)
-        frontier = next_frontier
-        if not frontier:
-            break
+    for (control, _real, _belief_key, belief), key, _depth, successor_keys in search:
+        if control == controller.final:
+            if eval_goal(belief, domain.goal):
+                return "Holds", [
+                    (Config(prev[0], prev[1]), action, obs)
+                    for prev, action, obs in search.trace(key)
+                ]
+        elif successor_keys is None:
+            truncated = True
     return ("Unknown" if truncated else "Fails"), None
 
 
-def _search_adversarial(
-    controller: Controller,
-    domain: Domain,
-    step,
-    real0: WorldState,
-    depth_bound: int,
-    poss_mode: str,
-    real_mode: str,
-) -> str:
+def _search_adversarial(search: _Search, controller: Controller, domain: Domain) -> str:
     """Check that every positive-likelihood run reaches the final state
     with the goal true.
 
-    Nodes within depth_bound are explored once each (beliefs merge under
-    the key rounding), giving a finite graph. A final node with the goal
-    false or a non-final node with no successors is a failing run; a
+    Nodes within the depth bound are explored once each (beliefs merge
+    under the key rounding), giving a finite graph. A final node with the
+    goal false or a non-final node with no successors is a failing run; a
     cycle is a run that never terminates, hence Fails. Otherwise the
     graph is a DAG of goal-reaching runs and the verdict is Holds, or
     Unknown when the bound cut off an unexplored node."""
-    start = (controller.initial, initial_belief(domain), real0)
-    start_key = _node_key(start)
     edges = {}  # key -> successor keys, or None where the bound cut off
-    queue = deque([(start, start_key, 0)])
-    seen = {start_key}
     truncated = False
-    while queue:
-        node, key, depth = queue.popleft()
-        control, belief, _real = node
+    for (control, _real, _belief_key, belief), key, _depth, successor_keys in search:
         if control == controller.final:
             if not eval_goal(belief, domain.goal):
                 return "Fails"
-            edges[key] = []
-            continue
-        if depth == depth_bound:
+        elif successor_keys is None:
             truncated = True
-            edges[key] = None
-            continue
-        nodes = _successors(controller, domain, step, node, poss_mode, real_mode)
-        if not nodes:
+        elif not successor_keys:
             return "Fails"
-        keys = []
-        for nxt, _action, _obs in nodes:
-            nxt_key = _node_key(nxt)
-            keys.append(nxt_key)
-            if nxt_key not in seen:
-                seen.add(nxt_key)
-                queue.append((nxt, nxt_key, depth + 1))
-        edges[key] = keys
+        edges[key] = successor_keys
 
     # breadth-first interning means edges can still point at a node that
     # was cut off; that node carries None and acts as a leaf below
     white, gray, black = 0, 1, 2
     color = {key: white for key in edges}
+    start_key = next(iter(edges))  # the start node is yielded first
     stack = [(start_key, iter(edges[start_key] or ()))]
     color[start_key] = gray
     while stack:
@@ -447,22 +404,29 @@ def verify_epistemic(
     """
     if mode not in ("existential", "adversarial"):
         raise VerifierInputError(f"unknown epistemic mode {mode!r}")
+    if depth_bound < 0:
+        raise VerifierInputError(f"depth bound must be at least 0, got {depth_bound}")
     _checked(controller, domain)
-    step = _cached_successors(controller, domain)
+    expand = functools.partial(
+        _successors,
+        controller,
+        domain,
+        _cached_successors(controller, domain),
+        poss_mode=poss_mode,
+        real_mode=real_mode,
+    )
     witnesses = []
     unknown_world = None
     for world, weight in domain.initial_worlds:
         if weight <= 0.0:
             continue
+        belief = initial_belief(domain)
+        start = (controller.initial, world, belief.key(), belief)
+        search = _Search([start], expand, _node_key, depth_bound)
         if mode == "existential":
-            status, trace = _search_existential(
-                controller, domain, step, world, depth_bound, poss_mode, real_mode
-            )
+            status, trace = _search_existential(search, controller, domain)
         else:
-            status = _search_adversarial(
-                controller, domain, step, world, depth_bound, poss_mode, real_mode
-            )
-            trace = None
+            status, trace = _search_adversarial(search, controller, domain), None
         if status == "Fails":
             return Verdict(
                 "Fails",

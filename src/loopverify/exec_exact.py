@@ -3,10 +3,13 @@
 A config pairs a control state with a world. `successors` is the one
 controller step every engine in the package walks: advice, then
 executability, then outcomes or readings, then the transition lookup.
-With noise-free acting the controller induces one run per initial
-world; with a nontrivial outcome model each step branches over the
-executable alternatives, and correctness criteria become reachability
-questions over the finite config graph:
+`_Search` is the one breadth-first search: the weak, threshold and
+termination checks here, both belief-level searches in exec_epistemic
+and the Monte Carlo chain build iterate it. With noise-free acting the
+controller induces one run per initial world; with a nontrivial
+outcome model each step branches over the executable alternatives, and
+correctness criteria become reachability questions over the finite
+config graph:
 
 - verify_exact: every initial world's unique run ends at the final
   control state with the goal true.
@@ -178,14 +181,58 @@ def _steps(step, cfg: Config) -> list:
     return steps
 
 
-def _trace_from(parent: dict, cfg: Config) -> list:
-    steps = []
-    while parent[cfg] is not None:
-        prev, action, obs = parent[cfg]
-        steps.append((prev, action, obs))
-        cfg = prev
-    steps.reverse()
-    return steps
+class _Search:
+    """Breadth-first search over the graph `expand` spans from `starts`.
+
+    `expand(node)` lists the node's (next node, action, observation)
+    edges. Nodes are identified by `key(node)`, the node itself by
+    default, and each key is visited once, in discovery order. Iterating
+    yields (node, key, depth, successor keys); the successor keys are
+    None for a node at `depth_bound`, which is not expanded. `parent`
+    maps every discovered key, in discovery order, to (previous key,
+    action, observation), or to None at a start node.
+    """
+
+    __slots__ = ("parent", "_queue", "_expand", "_key", "_depth_bound")
+
+    def __init__(self, starts, expand, key=None, depth_bound=None):
+        self.parent = {}
+        self._queue = deque()
+        self._expand = expand
+        self._key = key
+        self._depth_bound = depth_bound
+        for node in starts:
+            node_key = node if key is None else key(node)
+            if node_key not in self.parent:
+                self.parent[node_key] = None
+                self._queue.append((node, node_key, 0))
+
+    def __iter__(self):
+        parent, queue, expand, key = self.parent, self._queue, self._expand, self._key
+        depth_bound = self._depth_bound
+        while queue:
+            node, node_key, depth = queue.popleft()
+            if depth == depth_bound:
+                yield node, node_key, depth, None
+                continue
+            successor_keys = []
+            for nxt, action, obs in expand(node):
+                nxt_key = nxt if key is None else key(nxt)
+                successor_keys.append(nxt_key)
+                if nxt_key not in parent:
+                    parent[nxt_key] = (node_key, action, obs)
+                    queue.append((nxt, nxt_key, depth + 1))
+            yield node, node_key, depth, successor_keys
+
+    def trace(self, key) -> list:
+        """The (previous key, action, observation) steps from a start
+        node to `key`."""
+        steps = []
+        while self.parent[key] is not None:
+            steps.append(self.parent[key])
+            key = steps[-1][0]
+        steps.reverse()
+        return steps
 
 
 def verify_exact(controller: Controller, domain: Domain) -> Verdict:
@@ -237,22 +284,13 @@ def verify_exact(controller: Controller, domain: Domain) -> Verdict:
     return Verdict("Holds", witnesses=witnesses)
 
 
-def _weak_trace(controller: Controller, domain: Domain, step, world: WorldState):
+def _weak_trace(controller: Controller, domain: Domain, expand, world: WorldState):
     """Breadth-first search for one goal-reaching branch from `world`;
     its trace, or None when there is none."""
-    start = Config(controller.initial, world)
-    parent = {start: None}
-    queue = deque([start])
-    while queue:
-        cfg = queue.popleft()
-        if cfg.control == controller.final:
-            if eval_condition(domain.goal, cfg.world):
-                return _trace_from(parent, cfg)
-            continue
-        for nxt, action, obs in _steps(step, cfg):
-            if nxt not in parent:
-                parent[nxt] = (cfg, action, obs)
-                queue.append(nxt)
+    search = _Search([Config(controller.initial, world)], expand)
+    for cfg, _key, _depth, _successor_keys in search:
+        if cfg.control == controller.final and eval_condition(domain.goal, cfg.world):
+            return search.trace(cfg)
     return None
 
 
@@ -263,9 +301,21 @@ def _weak_per_world(controller: Controller, domain: Domain, cutoff: float):
     _checked(controller, domain)
     _require_objective_goal(domain)
     _require_exact_sensing(domain)
-    step = _cached_successors(controller, domain)
+    step = functools.partial(successors, controller, domain)
+    expanded = {}
+
+    def expand(cfg: Config) -> list:
+        # the searches from different worlds meet the same configs, so each
+        # is expanded once per check; a dict, because synthesis runs
+        # thousands of checks and an lru_cache takes longer to build than
+        # most of their searches take to run
+        steps = expanded.get(cfg)
+        if steps is None:
+            steps = expanded[cfg] = _steps(step, cfg)
+        return steps
+
     return (
-        (world, weight, _weak_trace(controller, domain, step, world))
+        (world, weight, _weak_trace(controller, domain, expand, world))
         for world, weight in domain.initial_worlds
         if weight > cutoff
     )
@@ -293,49 +343,29 @@ def verify_termination(controller: Controller, domain: Domain) -> Verdict:
     _checked(controller, domain)
     _require_exact_sensing(domain)
     step = functools.partial(successors, controller, domain)  # one visit per config
-    origin = {}
-    parent = {}
-    order = []
-    edges = {}
-    queue = deque()
-    for world, _weight in _positive_worlds(domain):
-        cfg = Config(controller.initial, world)
-        if cfg not in parent:
-            parent[cfg] = None
-            origin[cfg] = world
-            order.append(cfg)
-            queue.append(cfg)
-    while queue:
-        cfg = queue.popleft()
-        steps = _steps(step, cfg)
-        edges[cfg] = [nxt for nxt, _a, _o in steps]
-        for nxt, action, obs in steps:
-            if nxt not in parent:
-                parent[nxt] = (cfg, action, obs)
-                origin[nxt] = origin[cfg]
-                order.append(nxt)
-                queue.append(nxt)
-
-    reverse = {cfg: [] for cfg in parent}
-    for cfg, targets in edges.items():
-        for nxt in targets:
-            reverse[nxt].append(cfg)
-    can_finish = set()
-    stack = [cfg for cfg in parent if cfg.control == controller.final]
-    can_finish.update(stack)
+    search = _Search(
+        [Config(controller.initial, world) for world, _weight in _positive_worlds(domain)],
+        lambda cfg: _steps(step, cfg),
+    )
+    reverse = {}
+    for cfg, _key, _depth, successor_keys in search:
+        for nxt in successor_keys:
+            reverse.setdefault(nxt, []).append(cfg)
+    stack = [cfg for cfg in search.parent if cfg.control == controller.final]
+    can_finish = set(stack)
     while stack:
-        cfg = stack.pop()
-        for prev in reverse[cfg]:
+        for prev in reverse.get(stack.pop(), ()):
             if prev not in can_finish:
                 can_finish.add(prev)
                 stack.append(prev)
 
-    for cfg in order:
+    for cfg in search.parent:
         if cfg not in can_finish:
+            trace = search.trace(cfg)
             return Verdict(
                 "Fails",
-                witness=_trace_from(parent, cfg),
-                counterexample_world=origin[cfg],
+                witness=trace,
+                counterexample_world=(trace[0][0] if trace else cfg).world,
                 note=f"config (control={cfg.control!r}, world={cfg.world!r}) "
                 "cannot reach the final state",
             )

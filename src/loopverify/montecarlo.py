@@ -38,7 +38,7 @@ from .exec_exact import (
     VerifierInputError,
     _cached_successors,
     _checked,
-    successors,
+    _Search,
 )
 from .formulas import BeliefAtom, eval_condition, has_belief_atoms
 from .theory import Domain
@@ -126,43 +126,40 @@ def build_chain(controller: Controller, domain: Domain) -> Optional[_Chain]:
     if any(m.is_gaussian for m in domain.sensing_models.values()):
         return None
 
-    configs = []
-    index = {}
-
-    def intern(cfg: Config) -> int:
-        if cfg not in index:
-            index[cfg] = len(configs)
-            configs.append(cfg)
-        return index[cfg]
-
+    step = _cached_successors(controller, domain)
     worlds, prior_cum = _prior(domain)
-    init_indices = [intern(Config(controller.initial, w)) for w in worlds]
+    search = _Search(
+        [Config(controller.initial, w) for w in worlds],
+        lambda cfg: [
+            (Config(b.target, b.world), b.action, b.observation)
+            for b in step(cfg.control, cfg.world)
+            if b.target is not None
+        ],
+    )
     kinds = []
     cums = []
-    targets = []  # None stands for the sink until every config is interned
-    while len(kinds) < len(configs):
-        i = len(kinds)
-        cfg = configs[i]
+    rows = []  # next configs, None for the sink until every config is indexed
+    for cfg, _key, _depth, _successor_keys in search:
         if cfg.control == controller.final:
             kinds.append("success" if eval_condition(domain.goal, cfg.world) else "failure")
             cums.append([1.0])
-            targets.append([i])
+            rows.append([cfg])
             continue
-        branches = successors(controller, domain, cfg.control, cfg.world)
+        branches = step(cfg.control, cfg.world)
         kinds.append("step")
         cums.append(_cumulative([b.likelihood for b in branches]) if branches else [1.0])
-        targets.append(
-            [
-                None if b.target is None else intern(Config(b.target, b.world))
-                for b in branches
-            ]
+        rows.append(
+            [None if b.target is None else Config(b.target, b.world) for b in branches]
             or [None]
         )
 
+    configs = list(search.parent)  # discovery order, the order yielded
+    index = {cfg: i for i, cfg in enumerate(configs)}
     sink = len(configs)
     kinds.append("stuck")
     cums.append([1.0])
-    targets = [[sink if t is None else t for t in row] for row in targets] + [[sink]]
+    targets = [[sink if t is None else index[t] for t in row] for row in rows] + [[sink]]
+    init_indices = [index[Config(controller.initial, w)] for w in worlds]
     return _Chain(configs, kinds, cums, targets, init_indices, prior_cum)
 
 

@@ -64,6 +64,8 @@ def parse_criterion(
     Recognized tokens: def4, def6, termination, def6+termination,
     weight:K, mass:K, def9, def9:existential, def9:adversarial.
     """
+    if depth_bound < 0:
+        raise CriterionError(f"depth bound must be at least 0, got {depth_bound}")
     token = token.strip()
     if token == "def4":
         return "def4", verify_exact

@@ -167,6 +167,30 @@ def branches(controller, domain: Domain, control, world: WorldState) -> list:
     return edges
 
 
+def termination_holds(controller, domain: Domain) -> bool:
+    """Whether every (control, world) reachable from a positive-weight
+    initial world can still reach the final control state: a forward
+    closure over `branches`, then a backward fixed point."""
+    reachable = set()
+    todo = [(controller.initial, w) for w, wt in domain.initial_worlds if wt > 0.0]
+    while todo:
+        node = todo.pop()
+        if node not in reachable:
+            reachable.add(node)
+            todo.extend((t, w) for _a, _o, t, w in branches(controller, domain, *node))
+    finishing = {node for node in reachable if node[0] == controller.final}
+    grown = True
+    while grown:
+        grown = False
+        for node in reachable - finishing:
+            if any(
+                (t, w) in finishing for _a, _o, t, w in branches(controller, domain, *node)
+            ):
+                finishing.add(node)
+                grown = True
+    return finishing == reachable
+
+
 def absorption_by_dicts(controller, domain: Domain, step_cap: int) -> dict:
     """Success and termination mass within step_cap, propagating a
     distribution stored as a plain dict over (control, world)."""

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+import loopverify.synth as synth
 from loopverify.cli import main
 
 from conftest import FIXTURES, fixture_path
@@ -120,25 +121,31 @@ def test_verify_unknown_criterion_lists_tokens(capsys):
 
 
 @pytest.mark.parametrize(
-    "path, value",
+    "document, path, value",
     [
-        (["initial"], [1]),
-        (["outcome_models"], [1]),
-        (["outcome_models"], [{"intended": "chop", "outcomes": [1]}]),
-        (["sensing_models"], [1]),
-        (["sensing_models", 0, "readings"], [1]),
-        (["sensing_models", 0, "readings", 0], {"observation": "down"}),
-        (["sensing_models", 0, "table"], [1]),
-        (["actions", 0, "effects"], [1]),
-        (["initial", 0, "weight"], float("nan")),
-        (["initial", 0, "weight"], float("inf")),
-        (["initial", 0, "weight"], True),
-        (["sensing_models", 0, "readings", 0, "value"], float("nan")),
-        (["sensing_models", 0, "table", 0, "likelihoods", "down"], float("inf")),
+        ("domain", ["initial"], [1]),
+        ("domain", ["outcome_models"], [1]),
+        ("domain", ["outcome_models"], [{"intended": "chop", "outcomes": [1]}]),
+        ("domain", ["sensing_models"], [1]),
+        ("domain", ["sensing_models", 0, "readings"], [1]),
+        ("domain", ["sensing_models", 0, "readings", 0], {"observation": "down"}),
+        ("domain", ["sensing_models", 0, "table"], [1]),
+        ("domain", ["actions", 0, "effects"], [1]),
+        ("domain", ["initial", 0, "weight"], float("nan")),
+        ("domain", ["initial", 0, "weight"], float("inf")),
+        ("domain", ["initial", 0, "weight"], True),
+        ("domain", ["sensing_models", 0, "readings", 0, "value"], float("nan")),
+        ("domain", ["sensing_models", 0, "table", 0, "likelihoods", "down"], float("inf")),
         (
+            "domain",
             ["outcome_models"],
             [{"intended": "chop", "outcomes": [{"actual": "chop", "likelihood": float("nan")}]}],
         ),
+        ("scenario", [0, "actual_outcome"], [1]),
+        ("scenario", [0, "actual_outcome"], {"actual": "chop"}),
+        ("scenario", [0, "advised_action"], None),
+        ("scenario", [1, "reading"], ["up"]),
+        ("scenario", [1, "reading"], True),
     ],
     ids=[
         "initial-entry",
@@ -155,21 +162,34 @@ def test_verify_unknown_criterion_lists_tokens(capsys):
         "reading-value-nan",
         "sensor-likelihood-infinity",
         "outcome-likelihood-nan",
+        "scenario-outcome-list",
+        "scenario-outcome-object",
+        "scenario-action-null",
+        "scenario-reading-list",
+        "scenario-reading-bool",
     ],
 )
-def test_malformed_domain_entries_exit_three(capsys, tmp_path, path, value):
-    with open(fixture_path("treechop_exact.json")) as handle:
+def test_malformed_domain_entries_exit_three(capsys, tmp_path, document, path, value):
+    # the mutated document is a domain file, or the scenario file `trace` reads
+    source = {"domain": "treechop_exact.json", "scenario": "scenario_alpha.json"}
+    with open(fixture_path(source[document])) as handle:
         data = json.load(handle)
     node = data
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
-    domain = tmp_path / "domain.json"
-    domain.write_text(json.dumps(data))  # NaN and Infinity as JSON allows them
-    for criterion in ("def6", "mass:0.5"):
-        code, out, err = run_cli(
-            capsys, "verify", str(domain), fixture_path("fig1.json"), "--criterion", criterion
-        )
+    mutated = tmp_path / f"{document}.json"
+    mutated.write_text(json.dumps(data))  # NaN and Infinity as JSON allows them
+    fig1 = fixture_path("fig1.json")
+    if document == "domain":
+        runs = [["verify", str(mutated), fig1, "--criterion", c] for c in ("def6", "mass:0.5")]
+    else:
+        runs = [
+            ["trace", fixture_path("treechop_noisyact_bel.json"), fig1,
+             "--scenario", str(mutated), "--real", '{"d": 1}']
+        ]
+    for argv in runs:
+        code, out, err = run_cli(capsys, *argv)
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -215,6 +235,49 @@ def test_malformed_controller_entries_exit_three(capsys, tmp_path, path, value):
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_directory_path_is_input_error(capsys, tmp_path):
+    domain, controller = fixture_path("treechop_noisyact_bel.json"), fixture_path("fig1.json")
+    for argv in (
+        ["verify", str(tmp_path), controller, "--criterion", "def4"],
+        ["verify", domain, str(tmp_path), "--criterion", "def4"],
+        ["trace", domain, controller, "--scenario", str(tmp_path), "--real", '{"d": 1}'],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_engine_faults_are_not_input_errors(monkeypatch):
+    # a ValueError that is not one of the package's input errors is a
+    # fault of the program, so it must not be reported as exit 3
+    def broken(_controller, _domain):
+        raise ValueError("engine fault")
+
+    monkeypatch.setattr(synth, "verify_weak", broken)
+    with pytest.raises(ValueError, match="engine fault"):
+        main(
+            ["verify", fixture_path("treechop_noisyact.json"), fixture_path("fig1.json"),
+             "--criterion", "def6"]
+        )
+
+
+def test_negative_depth_bound_is_input_error(capsys):
+    domain = fixture_path("treechop_noisyact_bel.json")
+    for argv in (
+        ["verify", domain, fixture_path("fig1.json"), "--criterion", "def9"],
+        ["verify", domain, fixture_path("fig1.json"), "--criterion", "def9:adversarial"],
+        ["synthesize", fixture_path("fig4_pickup.json"), "--criterion", "def9",
+         "--max-states", "2"],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--depth-bound", "-1")
+        assert code == 3, argv
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        code, _out, _err = run_cli(capsys, *argv, "--depth-bound", "0")
+        assert code == (2 if argv[0] == "verify" else 1), argv  # Unknown is no hit
 
 
 def test_missing_file_is_input_error(capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from loopverify.belief import bel
@@ -13,9 +15,10 @@ from loopverify.exec_epistemic import (
 )
 from loopverify.exec_exact import VerifierInputError
 from loopverify.formulas import parse_condition
-from loopverify.theory import world_from_dict
+from loopverify.theory import parse_domain, world_from_dict
 
 from conftest import fixture_path
+from generators import noisy_sensing_domain, random_controller
 
 
 def alpha_scenario():
@@ -193,6 +196,8 @@ def test_adversarial_fixture_verdicts(fig1, fig4, treechop_noisyact_bel, fig4_pi
 def test_epistemic_mode_validation(fig1, treechop_noisyact_bel):
     with pytest.raises(VerifierInputError):
         verify_epistemic(fig1, treechop_noisyact_bel, mode="pessimistic")
+    with pytest.raises(VerifierInputError):
+        verify_epistemic(fig1, treechop_noisyact_bel, depth_bound=-1)
 
 
 def test_existential_on_gaussian_sensing(fig3, treechop_noisy):
@@ -207,3 +212,21 @@ def test_scenario_with_gaussian_readings(fig3, treechop_noisy):
     assert verdict.status == "Holds"
     assert cfg.control == "done"
     assert cfg.real == world_from_dict(treechop_noisy, {"d": 8})
+
+
+def test_decided_verdicts_survive_a_deeper_bound():
+    # Unknown is the only answer a bound may change: a Holds or Fails at
+    # bound d must stay the same at bound 2d
+    rng = random.Random(2)  # includes Unknown at bound d that Holds at 2d
+    decided = {"existential": 0, "adversarial": 0}
+    for _ in range(60):
+        domain = parse_domain(noisy_sensing_domain(rng))
+        controller = random_controller(rng, domain, max_states=4)
+        for mode in decided:
+            for bound in (1, 2, 3, 5):
+                status = verify_epistemic(controller, domain, mode, bound).status
+                if status != "Unknown":
+                    deeper = verify_epistemic(controller, domain, mode, 2 * bound)
+                    assert deeper.status == status, (mode, bound)
+                    decided[mode] += 1
+    assert min(decided.values()) > 20

@@ -20,7 +20,7 @@ from loopverify.formulas import eval_condition
 from loopverify.theory import parse_domain, world_from_dict
 
 from generators import random_controller, random_population
-from oracles import branches, weak_from
+from oracles import branches, termination_holds, weak_from
 
 
 def replay(controller, domain, world, trace):
@@ -176,6 +176,23 @@ def test_termination_witness_is_replayable(fig4, fig4_pickup):
     last = verdict.witness[-1]
     assert last[1] == "noop"
 
+    # state 3 has no transition: from d=1 a biting chop reads "down" into
+    # it, while a missed chop still finishes, so the witness must leave
+    # the counterexample world for another one
+    with open(fixture_path("treechop_noisyact.json")) as handle:
+        data = json.load(handle)
+    data["initial"] = [{"state": {"d": 1}}]
+    domain = parse_domain(data)
+    controller = Controller(
+        [0, 1, 2, 3], 0, 2, {0: "chop", 1: "getd", 3: "chop"},
+        {(0, "0"): 1, (1, "up"): 2, (1, "down"): 3},
+    )
+    verdict = verify_termination(controller, domain)
+    assert verdict.status == "Fails"
+    assert verdict.counterexample_world == world_from_dict(domain, {"d": 1})
+    control, world = replay(controller, domain, verdict.counterexample_world, verdict.witness)
+    assert (control, world) == (1, world_from_dict(domain, {"d": 0}))
+
 
 def test_weight_threshold_is_strict(fig1, treechop_metal):
     # metal world weighs exactly 0.2: kappa=0.2 exempts it
@@ -321,3 +338,16 @@ def test_weak_agrees_with_oracle_on_random_pairs():
             if weight > 0.0
         )
         assert (verdict.status == "Holds") == expected
+
+
+def test_termination_agrees_with_oracle_on_random_pairs():
+    rng = random.Random(616)
+    seen = set()
+    for domain in random_population(616, 60):
+        controller = random_controller(rng, domain, max_states=3)
+        verdict = verify_termination(controller, domain)
+        assert (verdict.status == "Holds") == termination_holds(controller, domain)
+        if verdict.status == "Fails":
+            replay(controller, domain, verdict.counterexample_world, verdict.witness)
+        seen.add(verdict.status)
+    assert seen == {"Holds", "Fails"}
