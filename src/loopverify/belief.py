@@ -7,6 +7,20 @@ likelihoods; worlds where no alternative is executable contribute
 nothing. Sensor readings rescale each world by the reading's likelihood
 there. Normalization happens only inside queries, so weights stay exact
 products of the declared likelihoods.
+
+`progress` and `condition` on a declared reading depend only on the
+action, the reading and the belief's exact contents: its particles with
+their weights, in order, and its tracing flag. They go through the
+domain's memo on that key, so searches, synthesis candidates and
+simulated runs that meet an equal belief share one result object, and
+an annihilated belief or an impossible reading is remembered as such.
+The rounded `key()` never keys the memo, because beliefs it merges can
+progress differently; it is cached on the belief object instead. A
+belief conditioned on a raw sampled value (a Gaussian sensor in
+`simulate`) and everything progressed from it are computed without the
+memo: almost every such belief is new, and storing them would grow the
+memo with the number of runs. Whether an action is executable at every
+possible world of a belief is memoized the same way.
 """
 
 from __future__ import annotations
@@ -16,6 +30,9 @@ from .theory import Domain, Reading, WorldState
 
 # bel() values within this of 1 count as known
 KNOW_EPS = 1e-12
+
+# decimal places key() rounds to unless told otherwise; cached per belief
+_KEY_PLACES = 9
 
 
 class BeliefAnnihilated(ValueError):
@@ -36,11 +53,23 @@ class BeliefState:
     weights stay visible for debugging.
     """
 
-    __slots__ = ("particles", "tracing")
+    __slots__ = ("particles", "tracing", "_sampled", "_contents", "_key")
 
     def __init__(self, particles: dict, tracing: bool = False):
         self.particles = {k: w for k, w in particles.items() if w > 0.0}
         self.tracing = tracing
+        self._sampled = False  # conditioned on a raw value, here or upstream
+        self._contents = None  # memo key of the exact contents, on first use
+        self._key = None  # key() at the default precision, on first use
+
+    def _memo_contents(self):
+        """The exact contents as a domain-memo key, or None for a sampled
+        belief, which stays out of the memo."""
+        if self._sampled:
+            return None
+        if self._contents is None:
+            self._contents = (self.tracing, tuple(self.particles.items()))
+        return self._contents
 
     def total(self) -> float:
         return sum(self.particles.values())
@@ -67,16 +96,21 @@ class BeliefState:
             for world, weight in sorted(merged.items(), key=lambda kv: kv[0].key())
         ]
 
-    def key(self, places: int = 9) -> tuple:
+    def key(self, places: int = _KEY_PLACES) -> tuple:
         """Hashable summary: worlds with normalized weights rounded to
         `places` decimals; rounding merges numerically equal beliefs."""
+        if places == _KEY_PLACES and self._key is not None:
+            return self._key
         total = self.total()
         entries = []
         for world, weight in sorted(self.merged().items(), key=lambda kv: kv[0].key()):
             rounded = round(weight / total, places)
             if rounded > 0.0:
                 entries.append((world.key(), rounded))
-        return tuple(entries)
+        key = tuple(entries)
+        if places == _KEY_PLACES:
+            self._key = key
+        return key
 
 
 def initial_belief(domain: Domain, tracing: bool = False) -> BeliefState:
@@ -88,22 +122,58 @@ def initial_belief(domain: Domain, tracing: bool = False) -> BeliefState:
     return BeliefState(particles, tracing)
 
 
+def _memoized(domain: Domain, op: tuple, b: BeliefState, compute, *args):
+    """compute(b, *args) through the domain's memo, keyed by `op` and the
+    exact contents of `b`. An annihilated belief or an impossible reading
+    is stored as the exception and raised anew on every hit; any other
+    error propagates and is not stored."""
+    contents = b._memo_contents()
+    if contents is None:
+        return compute(b, *args)
+    key = (op, contents)
+    memo = domain._memo
+    result = memo.get(key)
+    if result is None:
+        try:
+            result = compute(b, *args)
+        except (BeliefAnnihilated, ObservationImpossible) as exc:
+            result = exc.with_traceback(None)
+        memo[key] = result
+    if isinstance(result, (BeliefAnnihilated, ObservationImpossible)):
+        raise type(result)(*result.args)
+    return result
+
+
+def _poss_everywhere(domain: Domain, action: str, b: BeliefState) -> bool:
+    """`action` is executable at every possible world of `b`."""
+    op = ("poss_everywhere", action)
+    return _memoized(domain, op, b, _executable_everywhere, action, domain)
+
+
+def _executable_everywhere(b: BeliefState, action: str, domain: Domain) -> bool:
+    return all(domain.poss(action, world) for world in b.worlds())
+
+
 def progress(b: BeliefState, intended: str, domain: Domain) -> BeliefState:
     """Belief after intending a physical action under the outcome model."""
     action = domain.actions[intended]
     if action.kind != "physical":
         raise ValueError(f"progress needs a physical action, got {intended!r}")
+    return _memoized(domain, ("progress", intended), b, _progress, intended, domain)
+
+
+def _progress(b: BeliefState, intended: str, domain: Domain) -> BeliefState:
     particles = {}
     for (world, tag), weight in b.particles.items():
-        for outcome in domain.outcomes_of(intended, world):
-            successor = domain.apply(outcome.action, world)
-            key = (successor, tag + "." + outcome.action if b.tracing else "")
-            particles[key] = particles.get(key, 0.0) + weight * outcome.likelihood
+        for action, likelihood, successor in domain._moves(intended, world):
+            key = (successor, tag + "." + action if b.tracing else "")
+            particles[key] = particles.get(key, 0.0) + weight * likelihood
     state = BeliefState(particles, b.tracing)
     if not state.particles:
         raise BeliefAnnihilated(
             f"belief annihilated: {intended!r} is inexecutable in every possible world"
         )
+    state._sampled = b._sampled
     return state
 
 
@@ -111,11 +181,21 @@ def condition(b: BeliefState, action: str, reading, domain: Domain) -> BeliefSta
     """Belief after the sensing action reports `reading`.
 
     `reading` may be a Reading, a declared reading token, or a bare
-    number (a raw sampled sensor value for density models).
+    number (a raw sampled sensor value for density models). Only the
+    first two go through the domain's memo.
     """
     model = domain.sensing_models.get(action)
     if model is None:
         raise ValueError(f"{action!r} has no sensing model")
+    if isinstance(reading, (Reading, str)):
+        op = ("condition", action, reading)
+        return _memoized(domain, op, b, _condition, model, reading)
+    state = _condition(b, model, reading)
+    state._sampled = True
+    return state
+
+
+def _condition(b: BeliefState, model, reading) -> BeliefState:
     if isinstance(reading, Reading):
         value = reading.value
     elif isinstance(reading, str):
@@ -130,8 +210,10 @@ def condition(b: BeliefState, action: str, reading, domain: Domain) -> BeliefSta
     state = BeliefState(particles, b.tracing)
     if not state.particles:
         raise ObservationImpossible(
-            f"observation impossible under current belief: {action!r} reading {reading!r}"
+            f"observation impossible under current belief: {model.action!r} "
+            f"reading {reading!r}"
         )
+    state._sampled = b._sampled
     return state
 
 

@@ -158,9 +158,23 @@ def from_json_dict(data: dict) -> Controller:
     )
 
 
+def _state_order(controller: Controller) -> dict:
+    """State -> declaration index, for ordering output; every transition
+    must join declared states."""
+    order = {s: i for i, s in enumerate(controller.states)}
+    for (source, obs), target in controller.transitions.items():
+        for state in (source, target):
+            if state not in order:
+                raise ControllerError(
+                    f"transition ({source!r}, {obs!r}) -> {target!r} names "
+                    f"undeclared state {state!r}"
+                )
+    return order
+
+
 def to_json_dict(controller: Controller) -> dict:
     c = controller
-    order = {s: i for i, s in enumerate(c.states)}
+    order = _state_order(c)
     data = {}
     if c.name:
         data["name"] = c.name
@@ -191,7 +205,7 @@ def load_controller(path) -> Controller:
 def export_dot(controller: Controller) -> str:
     """Deterministic GraphViz rendering; initial bold, final double-circled."""
     c = controller
-    order = {s: i for i, s in enumerate(c.states)}
+    order = _state_order(c)
     lines = ["digraph controller {", "  rankdir=LR;", "  node [shape=circle];"]
     for i, state in enumerate(c.states):
         label = str(state)

@@ -25,6 +25,7 @@ from .belief import (
     BeliefAnnihilated,
     BeliefState,
     ObservationImpossible,
+    _poss_everywhere,
     condition,
     eval_goal,
     initial_belief,
@@ -35,7 +36,6 @@ from .exec_exact import (
     Config,
     Verdict,
     VerifierInputError,
-    _cached_successors,
     _checked,
     _Search,
     successors,
@@ -98,10 +98,6 @@ def parse_scenario(data) -> list:
             )
         )
     return steps
-
-
-def _poss_everywhere(domain: Domain, action: str, belief: BeliefState) -> bool:
-    return all(domain.poss(action, world) for world in belief.worlds())
 
 
 def step_belief(
@@ -272,14 +268,13 @@ def run_scenario(
 def _successors(
     controller: Controller,
     domain: Domain,
-    step,
     node: tuple,
     poss_mode: str,
     real_mode: str,
 ):
     """Positive-likelihood successor nodes of (control, real, belief key,
-    belief), none at the final state; `step` gives the kernel's branches
-    at (control, real). Successors sharing a belief share its key."""
+    belief), none at the final state. Successors sharing a belief share
+    its key."""
     control, real, _belief_key, belief = node
     if control == controller.final:
         return []
@@ -291,7 +286,7 @@ def _successors(
             return []
     elif not domain.poss(advised, real):
         return []
-    branches = step(control, real)
+    branches = successors(controller, domain, control, real)
     if not branches:
         return []
     if domain.actions[advised].kind == "physical":
@@ -408,12 +403,7 @@ def verify_epistemic(
         raise VerifierInputError(f"depth bound must be at least 0, got {depth_bound}")
     _checked(controller, domain)
     expand = functools.partial(
-        _successors,
-        controller,
-        domain,
-        _cached_successors(controller, domain),
-        poss_mode=poss_mode,
-        real_mode=real_mode,
+        _successors, controller, domain, poss_mode=poss_mode, real_mode=real_mode
     )
     witnesses = []
     unknown_world = None

@@ -3,6 +3,12 @@
 A config pairs a control state with a world. `successors` is the one
 controller step every engine in the package walks: advice, then
 executability, then outcomes or readings, then the transition lookup.
+Only the last part reads the controller. The rest, the outcomes and
+their successor worlds or the live readings and their likelihoods,
+comes from the domain's memo (`Domain._moves`), so each (advised
+action, world) pair is computed once per domain, whatever the number of
+checks, candidates or runs that step it. Whether the sensing is
+noise-free is also decided once per domain and kept in that memo.
 `_Search` is the one breadth-first search: the weak, threshold and
 termination checks here, both belief-level searches in exec_epistemic
 and the Monte Carlo chain build iterate it. With noise-free acting the
@@ -75,20 +81,32 @@ def _require_exact_sensing(domain: Domain) -> None:
     """Noise-free sensing: exactly one live reading everywhere.
 
     Checked statically when the relevant state space is small; larger
-    spaces fall back to erroring at the first noisy expansion.
+    spaces fall back to erroring at the first noisy expansion. The
+    answer depends on the domain alone, so it is worked out once and
+    kept in the domain's memo.
     """
+    defect = domain._memo.get("noisy_sensing")
+    if defect is None:
+        defect = domain._memo["noisy_sensing"] = _noisy_sensing(domain)
+    if defect:
+        raise VerifierInputError(defect)
+
+
+def _noisy_sensing(domain: Domain) -> str:
+    """Why the sensing is not noise-free, or "" when it is."""
     for model in domain.sensing_models.values():
         if model.is_gaussian:
-            raise VerifierInputError(
+            return (
                 f"sensor of {model.action!r} reports continuous readings; "
                 "use the belief-level checker"
             )
         for world in _sensor_worlds(domain, model) or ():
             if len(model.positive_readings(world)) != 1:
-                raise VerifierInputError(
+                return (
                     f"sensor of {model.action!r} is noisy at {world!r}; "
                     "use the belief-level checker"
                 )
+    return ""
 
 
 def _positive_worlds(domain: Domain) -> list:
@@ -130,43 +148,29 @@ def successors(controller: Controller, domain: Domain, control, world: WorldStat
     advised = controller.advice.get(control)
     if advised is None:
         return []
+    transitions = controller.transitions
     if domain.actions[advised].kind == "physical":
-        target = controller.transitions.get((control, NULL_OBSERVATION))
+        # looked up before the moves, so an effect that leaves its domain
+        # errors only where the controller can take the step
+        target = transitions.get((control, NULL_OBSERVATION))
         if target is None:
             return []
         return [
-            Branch(o.action, None, o.likelihood, domain.apply(o.action, world), target)
-            for o in domain.outcomes_of(advised, world)
+            Branch(action, None, likelihood, successor, target)
+            for action, likelihood, successor in domain._moves(advised, world)
         ]
-    if not domain.poss(advised, world):
-        return []
-    model = domain.sensing_models[advised]
     branches = []
-    for reading in model.readings:
-        likelihood = model.likelihood(world, reading.value)
-        if likelihood > 0.0:
-            target = controller.transitions.get((control, reading.observation))
-            branches.append(Branch(advised, reading, likelihood, world, target))
+    for reading, likelihood in domain._moves(advised, world):
+        target = transitions.get((control, reading.observation))
+        branches.append(Branch(advised, reading, likelihood, world, target))
     return branches
 
 
-def _cached_successors(controller: Controller, domain: Domain):
-    """`successors` for one check, computed once per (control, world).
-
-    Runs from different initial worlds, and belief-level nodes sharing a
-    real world, step the same config again and again; the cache keeps
-    the world kernel from redoing that work. Callers must not modify the
-    lists it returns."""
-    return functools.lru_cache(maxsize=None)(
-        functools.partial(successors, controller, domain)
-    )
-
-
-def _steps(step, cfg: Config) -> list:
-    """(next config, action, observation) for every branch `step` gives
-    at `cfg` that has a target, sorted by (action, observation). Sensing
-    must be noise-free."""
-    branches = step(cfg.control, cfg.world)
+def _steps(controller: Controller, domain: Domain, cfg: Config) -> list:
+    """(next config, action, observation) for every branch of `cfg` that
+    has a target, sorted by (action, observation). Sensing must be
+    noise-free."""
+    branches = successors(controller, domain, cfg.control, cfg.world)
     if len(branches) > 1 and branches[0].reading is not None:
         raise VerifierInputError(
             f"sensor of {branches[0].action} is not noise-free at {cfg.world!r} "
@@ -235,6 +239,24 @@ class _Search:
         return steps
 
 
+def _expander(controller: Controller, domain: Domain):
+    """`_steps` for one check, computed once per config.
+
+    Runs and searches from different initial worlds meet the same
+    configs; a dict, because synthesis runs thousands of checks and an
+    lru_cache takes longer to build than most of their searches take to
+    run."""
+    expanded = {}
+
+    def expand(cfg: Config) -> list:
+        steps = expanded.get(cfg)
+        if steps is None:
+            steps = expanded[cfg] = _steps(controller, domain, cfg)
+        return steps
+
+    return expand
+
+
 def verify_exact(controller: Controller, domain: Domain) -> Verdict:
     """Every positive-weight initial world's unique run must reach the
     final state with the goal true there."""
@@ -245,7 +267,7 @@ def verify_exact(controller: Controller, domain: Domain) -> Verdict:
         raise VerifierInputError(
             "outcome models are nontrivial; use the outcome-branching criteria"
         )
-    step = _cached_successors(controller, domain)
+    expand = _expander(controller, domain)
     witnesses = []
     for world, _weight in _positive_worlds(domain):
         cfg = Config(controller.initial, world)
@@ -262,7 +284,7 @@ def verify_exact(controller: Controller, domain: Domain) -> Verdict:
                     counterexample_world=world,
                     note="goal false at the final state",
                 )
-            steps = _steps(step, cfg)
+            steps = expand(cfg)
             if not steps:
                 return Verdict(
                     "Fails",
@@ -301,19 +323,7 @@ def _weak_per_world(controller: Controller, domain: Domain, cutoff: float):
     _checked(controller, domain)
     _require_objective_goal(domain)
     _require_exact_sensing(domain)
-    step = functools.partial(successors, controller, domain)
-    expanded = {}
-
-    def expand(cfg: Config) -> list:
-        # the searches from different worlds meet the same configs, so each
-        # is expanded once per check; a dict, because synthesis runs
-        # thousands of checks and an lru_cache takes longer to build than
-        # most of their searches take to run
-        steps = expanded.get(cfg)
-        if steps is None:
-            steps = expanded[cfg] = _steps(step, cfg)
-        return steps
-
+    expand = _expander(controller, domain)
     return (
         (world, weight, _weak_trace(controller, domain, expand, world))
         for world, weight in domain.initial_worlds
@@ -342,10 +352,9 @@ def verify_termination(controller: Controller, domain: Domain) -> Verdict:
     to reach the final control state."""
     _checked(controller, domain)
     _require_exact_sensing(domain)
-    step = functools.partial(successors, controller, domain)  # one visit per config
     search = _Search(
         [Config(controller.initial, world) for world, _weight in _positive_worlds(domain)],
-        lambda cfg: _steps(step, cfg),
+        functools.partial(_steps, controller, domain),  # one visit per config
     )
     reverse = {}
     for cfg, _key, _depth, successor_keys in search:

@@ -131,6 +131,8 @@ def _build_condition(tree, fluents: dict, allow_belief: bool):
     if not isinstance(tree, list) or not tree:
         raise FormulaError(f"expected a condition, got {tree!r}")
     head = tree[0]
+    if not isinstance(head, str):
+        raise FormulaError(f"unknown operator {head!r}")
     if head in _COMPARISONS:
         return _build_comparison(tree, fluents, allow_belief)
     if head == "not":

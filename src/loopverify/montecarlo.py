@@ -24,6 +24,7 @@ chain gives exact absorption probabilities by forward propagation.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -33,13 +34,7 @@ import numpy as np
 
 from .belief import bel, condition, eval_goal, initial_belief, progress
 from .controller import Controller
-from .exec_exact import (
-    Config,
-    VerifierInputError,
-    _cached_successors,
-    _checked,
-    _Search,
-)
+from .exec_exact import Config, VerifierInputError, _checked, _Search, successors
 from .formulas import BeliefAtom, eval_condition, has_belief_atoms
 from .theory import Domain
 
@@ -126,7 +121,7 @@ def build_chain(controller: Controller, domain: Domain) -> Optional[_Chain]:
     if any(m.is_gaussian for m in domain.sensing_models.values()):
         return None
 
-    step = _cached_successors(controller, domain)
+    step = functools.partial(successors, controller, domain)
     worlds, prior_cum = _prior(domain)
     search = _Search(
         [Config(controller.initial, w) for w in worlds],
@@ -370,7 +365,7 @@ def _run_scalar(
 ):
     """Step one run at a time, drawing its uniform and normal rows lazily."""
     worlds, prior_cum = _prior(domain)
-    step = _cached_successors(controller, domain)
+    step = functools.partial(successors, controller, domain)
     epistemic = has_belief_atoms(domain.goal)
     target_formula = _bel_target(domain) if track else None
     width = uniforms.width

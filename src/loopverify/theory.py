@@ -6,7 +6,25 @@ to the alternatives a physical action may produce when intended, sensing
 models attaching likelihoods to the readings a sensing action may report,
 a weighted set of initial worlds, and a goal formula.
 
-Everything is immutable after parsing and safe to share across threads.
+Everything is immutable after parsing, except one private memo per
+domain. It holds what a step computes without looking at a controller,
+keyed on exact inputs, so every check, synthesis candidate and
+simulated run on the domain shares it:
+
+- the kernel moves of `Domain._moves`, by (advised action, world);
+- belief progression and conditioning (`belief.py`), by (action,
+  reading, exact belief contents), including the annihilated and
+  impossible results, and whether an action is executable in every
+  world of a belief, by (action, exact belief contents);
+- whether the sensing is noise-free (`exec_exact.py`).
+
+Entries are never keyed on the rounded `BeliefState.key()`, and errors
+from the domain are never stored. A belief conditioned on a raw sampled
+sensor value, and every belief progressed from it, stays out of the
+memo: each sampled run makes new ones, so storing them would grow the
+memo with the number of runs. The memo only grows and has no size
+limit; it lives as long as its domain. Threads may share a domain: two
+threads filling one entry store equal values.
 """
 
 from __future__ import annotations
@@ -52,6 +70,21 @@ def _object(entry, what: str) -> dict:
     if not isinstance(entry, dict):
         raise DomainError(f"bad {what} entry: {entry!r}")
     return entry
+
+
+def _list(value, what: str) -> list:
+    """`value` itself when it is a JSON list."""
+    if not isinstance(value, list):
+        raise DomainError(f"{what} must be a list, not {value!r}")
+    return value
+
+
+def _name(value, what: str):
+    """`value` itself when it can be a name; names are hashed and
+    compared, so a list or an object cannot be one."""
+    if isinstance(value, (list, dict)):
+        raise DomainError(f"bad {what}: {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -214,6 +247,7 @@ class Domain:
     goal_source: str = ""
     notes: str = ""
     _observation_order: tuple = field(default=(), repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def observations(self) -> tuple:
         """All observation tokens: the null token first, then sensing
@@ -259,6 +293,27 @@ class Domain:
                 return [Outcome(action, 1.0)]
             return []
         return [o for o in model.positive() if self.poss(o.action, world)]
+
+    def _moves(self, advised: str, world: WorldState) -> tuple:
+        """The controller-free part of one step from `world`, memoized:
+        (action, likelihood, next world) for each executable outcome of a
+        physical action, or (reading, likelihood) for each live reading of
+        a sensing action, empty where the sensing action is inexecutable."""
+        key = ("moves", advised, world)
+        moves = self._memo.get(key)
+        if moves is None:
+            moves = []
+            if self.actions[advised].kind == "physical":
+                for o in self.outcomes_of(advised, world):
+                    moves.append((o.action, o.likelihood, self.apply(o.action, world)))
+            elif self.poss(advised, world):
+                model = self.sensing_models[advised]
+                for reading in model.readings:
+                    likelihood = model.likelihood(world, reading.value)
+                    if likelihood > 0.0:
+                        moves.append((reading, likelihood))
+            moves = self._memo[key] = tuple(moves)
+        return moves
 
     def is_deterministic(self) -> bool:
         """True when every outcome model is the trivial self-outcome."""
@@ -361,7 +416,7 @@ def _parse_fluents(raw) -> dict:
     for entry in raw:
         if not isinstance(entry, dict) or "name" not in entry:
             raise DomainError(f"bad fluent entry: {entry!r}")
-        name = entry["name"]
+        name = _name(entry["name"], "fluent name")
         if name in fluents:
             raise DomainError(f"duplicate fluent {name!r}")
         if "range" in entry:
@@ -376,18 +431,19 @@ def _parse_fluents(raw) -> dict:
             values = tuple(range(bounds[0], bounds[1] + 1))
             kind = "int"
         elif "values" in entry:
-            values = tuple(entry["values"])
+            values = tuple(_list(entry["values"], f"values of {name!r}"))
             if not values:
                 raise DomainError(f"fluent {name!r} has an empty value list")
-            if len(set(values)) != len(values):
-                raise DomainError(f"fluent {name!r} repeats a value")
             if all(isinstance(v, int) and not isinstance(v, bool) for v in values):
-                values = tuple(sorted(values))
                 kind = "int"
             elif all(isinstance(v, str) for v in values):
                 kind = "enum"
             else:
                 raise DomainError(f"fluent {name!r} mixes value types")
+            if len(set(values)) != len(values):
+                raise DomainError(f"fluent {name!r} repeats a value")
+            if kind == "int":
+                values = tuple(sorted(values))
         else:
             raise DomainError(f"fluent {name!r} needs a range or values list")
         fluents[name] = FluentDecl(name, kind, values)
@@ -401,7 +457,7 @@ def _parse_actions(raw, fluents: dict) -> dict:
     for entry in raw:
         if not isinstance(entry, dict) or "name" not in entry:
             raise DomainError(f"bad action entry: {entry!r}")
-        name = entry["name"]
+        name = _name(entry["name"], "action name")
         if name in actions:
             raise DomainError(f"duplicate action {name!r}")
         kind = entry.get("kind", "physical")
@@ -413,8 +469,8 @@ def _parse_actions(raw, fluents: dict) -> dict:
             raise DomainError(f"bad precondition for {name!r}: {exc}") from exc
         effects = []
         targets = set()
-        for eff in entry.get("effects", []):
-            target = _object(eff, "effect").get("fluent")
+        for eff in _list(entry.get("effects", []), f"effects of {name!r}"):
+            target = _name(_object(eff, "effect").get("fluent"), f"effect target of {name!r}")
             if target not in fluents:
                 raise DomainError(f"effect of {name!r} targets unknown fluent {target!r}")
             if target in targets:
@@ -439,7 +495,7 @@ def _parse_outcome_models(raw, actions: dict) -> dict:
         raise DomainError("outcome_models must be a list")
     models = {}
     for entry in raw:
-        intended = _object(entry, "outcome model").get("intended")
+        intended = _name(_object(entry, "outcome model").get("intended"), "intended action")
         if intended not in actions:
             raise DomainError(f"outcome model for unknown action {intended!r}")
         if intended in models:
@@ -452,7 +508,7 @@ def _parse_outcome_models(raw, actions: dict) -> dict:
         outcomes = []
         seen = set()
         for item in declared:
-            actual = _object(item, "outcome").get("actual")
+            actual = _name(_object(item, "outcome").get("actual"), "outcome action")
             if actual not in actions:
                 raise DomainError(f"outcome of {intended!r} names unknown action {actual!r}")
             if actions[actual].kind != "physical":
@@ -483,7 +539,7 @@ def _parse_sensing_models(raw, fluents: dict, actions: dict) -> dict:
         raise DomainError("sensing_models must be a list")
     sensing = {}
     for entry in raw:
-        name = _object(entry, "sensing model").get("action")
+        name = _name(_object(entry, "sensing model").get("action"), "sensing action")
         if name not in actions:
             raise DomainError(f"sensing model for unknown action {name!r}")
         if actions[name].kind != "sensing":
@@ -493,7 +549,7 @@ def _parse_sensing_models(raw, fluents: dict, actions: dict) -> dict:
 
         readings = []
         tokens = set()
-        for item in entry.get("readings", []):
+        for item in _list(entry.get("readings", []), f"readings of {name!r}"):
             if "token" not in _object(item, "reading"):
                 raise DomainError(f"reading of {name!r} needs a token: {item!r}")
             token = str(item["token"])
@@ -526,7 +582,7 @@ def _parse_sensing_models(raw, fluents: dict, actions: dict) -> dict:
             if "table" in entry:
                 raise DomainError(f"sensor of {name!r} mixes table and gaussian forms")
             gauss = _object(entry["gaussian"], "gaussian")
-            mean_fluent = gauss.get("mean_fluent")
+            mean_fluent = _name(gauss.get("mean_fluent"), f"mean fluent of {name!r}")
             if mean_fluent not in fluents or fluents[mean_fluent].kind != "int":
                 raise DomainError(f"gaussian sensor of {name!r} needs an integer mean fluent")
             variance = gauss.get("variance")
@@ -538,7 +594,7 @@ def _parse_sensing_models(raw, fluents: dict, actions: dict) -> dict:
             continue
 
         rows = []
-        for row in entry.get("table", []):
+        for row in _list(entry.get("table", []), f"sensor table of {name!r}"):
             try:
                 condition = parse_condition(
                     _object(row, "sensor row").get("when", "true"), fluents

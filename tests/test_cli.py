@@ -141,6 +141,19 @@ def test_verify_unknown_criterion_lists_tokens(capsys):
             ["outcome_models"],
             [{"intended": "chop", "outcomes": [{"actual": "chop", "likelihood": float("nan")}]}],
         ),
+        ("domain", ["actions", 0, "effects"], 1),
+        ("domain", ["actions", 0, "effects"], True),
+        ("domain", ["actions", 0, "effects"], None),
+        ("domain", ["sensing_models", 0, "readings"], 2.5),
+        ("domain", ["sensing_models", 0, "readings"], False),
+        ("domain", ["sensing_models", 0, "readings"], None),
+        ("domain", ["sensing_models", 0, "table"], 0),
+        ("domain", ["sensing_models", 0, "table"], True),
+        ("domain", ["sensing_models", 0, "table"], None),
+        ("domain", ["fluents", 0, "name"], {}),
+        ("domain", ["actions", 0, "name"], {"name": "chop"}),
+        ("domain", ["sensing_models", 0, "action"], {}),
+        ("domain", ["actions", 0, "effects", 0, "fluent"], {}),
         ("scenario", [0, "actual_outcome"], [1]),
         ("scenario", [0, "actual_outcome"], {"actual": "chop"}),
         ("scenario", [0, "advised_action"], None),
@@ -162,6 +175,19 @@ def test_verify_unknown_criterion_lists_tokens(capsys):
         "reading-value-nan",
         "sensor-likelihood-infinity",
         "outcome-likelihood-nan",
+        "effects-number",
+        "effects-bool",
+        "effects-null",
+        "readings-number",
+        "readings-bool",
+        "readings-null",
+        "table-number",
+        "table-bool",
+        "table-null",
+        "fluent-name-object",
+        "action-name-object",
+        "sensing-action-object",
+        "effect-fluent-object",
         "scenario-outcome-list",
         "scenario-outcome-object",
         "scenario-action-null",
@@ -205,6 +231,7 @@ def test_malformed_domain_entries_exit_three(capsys, tmp_path, document, path, v
         (["transitions", 0, 0], [0]),
         (["transitions", 0, 1], ["0"]),
         (["transitions", 0, 2], [1]),
+        (["transitions", 0, 2], 7),
     ],
     ids=[
         "nested-state",
@@ -214,6 +241,7 @@ def test_malformed_domain_entries_exit_three(capsys, tmp_path, document, path, v
         "transition-source-list",
         "transition-observation-list",
         "transition-target-list",
+        "transition-target-undeclared",
     ],
 )
 def test_malformed_controller_entries_exit_three(capsys, tmp_path, path, value):
