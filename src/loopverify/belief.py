@@ -25,11 +25,8 @@ possible world of a belief is memoized the same way.
 
 from __future__ import annotations
 
-from .formulas import eval_condition, eval_objective
+from .formulas import BELIEF_EPS, eval_condition
 from .theory import Domain, Reading, WorldState
-
-# bel() values within this of 1 count as known
-KNOW_EPS = 1e-12
 
 # decimal places key() rounds to unless told otherwise; cached per belief
 _KEY_PLACES = 9
@@ -231,7 +228,7 @@ def bel(b: BeliefState, formula) -> float:
 
 
 def know(b: BeliefState, formula) -> bool:
-    return bel(b, formula) >= 1.0 - KNOW_EPS
+    return bel(b, formula) >= 1.0 - BELIEF_EPS
 
 
 def eval_goal(b: BeliefState, goal) -> bool:
@@ -247,7 +244,4 @@ def eval_goal(b: BeliefState, goal) -> bool:
             cache[inner] = bel(b, inner)
         return cache[inner]
 
-    return all(
-        eval_objective(goal, world, bel_fn)
-        for world in b.worlds()
-    )
+    return all(eval_condition(goal, world, bel_fn) for world in b.worlds())

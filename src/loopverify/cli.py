@@ -26,7 +26,7 @@ from .exec_epistemic import ScenarioError, load_scenario, run_scenario
 from .exec_exact import Verdict, VerifierInputError
 from .montecarlo import simulate
 from .synth import CriterionError, SynthRequest, parse_criterion, synthesize
-from .theory import DomainError, load_domain, world_from_dict
+from .theory import DomainError, load_domain, read_json, world_from_dict
 
 _EXIT = {"Holds": 0, "Fails": 1, "Unknown": 2}
 _INPUT_ERROR = 3
@@ -113,11 +113,7 @@ def _cmd_verify(args) -> int:
 def _cmd_trace(args) -> int:
     domain = load_domain(args.domain)
     controller = load_controller(args.controller)
-    try:
-        raw_world = json.loads(args.real)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"--real is not valid JSON: {exc}") from exc
-    real = world_from_dict(domain, raw_world)
+    real = world_from_dict(domain, read_json(args.real, DomainError, "--real"))
     scenario = load_scenario(args.scenario)
     collect = []
     verdict, final_cfg = run_scenario(
@@ -349,18 +345,17 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (
-        # input errors and the errors of reading a file; formula and
-        # s-expression errors arrive wrapped in DomainError and belief
-        # errors never leave the engines, so anything else is a fault of
-        # the program and keeps its traceback
+        # input errors and the errors of opening a file; JSON errors
+        # arrive as the input error of their document, formula errors
+        # wrapped in DomainError, and belief errors never leave the
+        # engines, so anything else is a fault of the program and keeps
+        # its traceback
         DomainError,
         ControllerError,
         ScenarioError,
         CriterionError,
         VerifierInputError,
         OSError,
-        json.JSONDecodeError,
-        UnicodeDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _INPUT_ERROR

@@ -8,7 +8,7 @@ tokens. Controllers carry no other memory.
 
 from __future__ import annotations
 
-import json
+from .theory import read_json
 
 
 class ControllerError(ValueError):
@@ -195,11 +195,7 @@ def to_json_dict(controller: Controller) -> dict:
 
 def load_controller(path) -> Controller:
     with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ControllerError(f"controller file is not valid JSON: {exc}") from exc
-    return from_json_dict(data)
+        return from_json_dict(read_json(handle, ControllerError, "controller file"))
 
 
 def export_dot(controller: Controller) -> str:

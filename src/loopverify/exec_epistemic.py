@@ -17,7 +17,6 @@ Scenario files replay one designated run instead.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,7 +39,7 @@ from .exec_exact import (
     _Search,
     successors,
 )
-from .theory import NULL_OBSERVATION, Domain, WorldState
+from .theory import NULL_OBSERVATION, Domain, WorldState, read_json
 
 
 class ScenarioError(ValueError):
@@ -67,11 +66,7 @@ class EpistemicConfig:
 
 def load_scenario(path) -> list:
     with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
-    return parse_scenario(data)
+        return parse_scenario(read_json(handle, ScenarioError, "scenario file"))
 
 
 def parse_scenario(data) -> list:
@@ -100,6 +95,13 @@ def parse_scenario(data) -> list:
     return steps
 
 
+def _check_modes(poss_mode: str, real_mode: str) -> None:
+    if poss_mode not in ("belief", "real"):
+        raise VerifierInputError(f"unknown poss mode {poss_mode!r}")
+    if real_mode not in ("outcome", "intended"):
+        raise VerifierInputError(f"unknown real mode {real_mode!r}")
+
+
 def step_belief(
     controller: Controller,
     domain: Domain,
@@ -120,6 +122,7 @@ def step_belief(
     ExecutionStuck; contradictions between the scenario and the domain
     raise ScenarioError.
     """
+    _check_modes(poss_mode, real_mode)
     if cfg.control == controller.final:
         raise ScenarioError("scenario continues past the final state")
     advised = controller.advice.get(cfg.control)
@@ -208,6 +211,7 @@ def run_scenario(
     Fails. `collect`, when given, receives per-step records
     (control, action, observation, belief, real) for tracing output.
     """
+    _check_modes(poss_mode, real_mode)
     _checked(controller, domain)
     weight = dict((w, wt) for w, wt in domain.initial_worlds).get(real0)
     if weight is None or weight <= 0.0:
@@ -401,6 +405,7 @@ def verify_epistemic(
         raise VerifierInputError(f"unknown epistemic mode {mode!r}")
     if depth_bound < 0:
         raise VerifierInputError(f"depth bound must be at least 0, got {depth_bound}")
+    _check_modes(poss_mode, real_mode)
     _checked(controller, domain)
     expand = functools.partial(
         _successors, controller, domain, poss_mode=poss_mode, real_mode=real_mode

@@ -1,23 +1,39 @@
-"""Condition and value-expression ASTs over finite-domain fluents.
+"""Formulas: their s-expression reader, ASTs, evaluator and tree walk.
 
-Conditions are boolean formulas whose atoms compare a fluent against a
-constant or another fluent. Objective formulas may additionally contain
-degree-of-belief atoms ``(bel <condition>)`` compared against a constant
-bound, and knowledge atoms ``(know <condition>)``. Value expressions are
-arithmetic terms used on the right-hand side of effect assignments.
+Formulas are written as s-expressions, as text or as JSON lists. The
+reader here turns text into nested lists; atoms become int, float or
+str. Conditions are boolean formulas whose atoms compare a fluent
+against a constant or another fluent. Goal formulas may additionally
+contain degree-of-belief atoms ``(bel <condition>)`` compared against a
+constant bound, and knowledge atoms ``(know <condition>)``. Value
+expressions are arithmetic terms used on the right-hand side of effect
+assignments.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+import re
 from dataclasses import dataclass
-
-from .sexpr import SexprError, parse
 
 # bel/know comparisons tolerate this much float error
 BELIEF_EPS = 1e-12
 
-_COMPARISONS = {"=", "!=", "<", "<=", ">", ">="}
-_CONNECTIVES = {"and", "or", "not", "implies"}
+# formulas nested deeper are refused: building and evaluating one take
+# up to two Python frames per level, far below the default limit of 1,000
+MAX_DEPTH = 200
+
+_COMPARE = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+_ARITH = {"+": sum, "*": math.prod, "min": min, "max": max}  # and "-"
+_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
 class FormulaError(ValueError):
@@ -100,27 +116,74 @@ class Conditional:
 
 def parse_condition(source, fluents: dict) -> object:
     """Parse a belief-free condition; `fluents` maps name -> FluentDecl."""
-    tree = source if not isinstance(source, str) else _read(source)
-    node = _build_condition(tree, fluents, allow_belief=False)
-    return node
+    return _build_condition(_tree(source), fluents, allow_belief=False)
 
 
 def parse_objective(source, fluents: dict) -> object:
     """Parse a goal formula; belief and knowledge atoms allowed."""
-    tree = source if not isinstance(source, str) else _read(source)
-    return _build_condition(tree, fluents, allow_belief=True)
+    return _build_condition(_tree(source), fluents, allow_belief=True)
 
 
 def parse_value_expr(source, fluents: dict) -> object:
-    tree = source if not isinstance(source, str) else _read(source)
-    return _build_value(tree, fluents)
+    return _build_value(_tree(source), fluents)
 
 
-def _read(text: str):
-    try:
-        return parse(text)
-    except SexprError as exc:
-        raise FormulaError(f"unreadable expression {text!r}: {exc}") from exc
+def _tree(source):
+    """The nested lists of a formula given as text or as JSON lists,
+    refused when they nest deeper than MAX_DEPTH."""
+    tree = read(source) if isinstance(source, str) else source
+    level = [tree]
+    for _ in range(MAX_DEPTH + 1):
+        lists = [node for node in level if isinstance(node, list)]
+        if not lists:
+            return tree
+        level = [child for node in lists for child in node]
+    raise FormulaError(f"formula nested deeper than {MAX_DEPTH} levels")
+
+
+def tokenize(text: str) -> list:
+    """Split into (token, offset) pairs. Parens are their own tokens."""
+    return [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
+
+
+def read(text: str):
+    """Read exactly one s-expression; atoms become int, float, or str."""
+
+    def unreadable(message, offset):
+        return FormulaError(
+            f"unreadable expression {text!r}: {message} (at offset {offset})"
+        )
+
+    tokens = tokenize(text)
+    if not tokens:
+        raise unreadable("empty input", 0)
+    open_lists = []  # (items, offset of the opening parenthesis)
+    for i, (token, offset) in enumerate(tokens):
+        if token == "(":
+            open_lists.append(([], offset))
+            continue
+        if token == ")":
+            if not open_lists:
+                raise unreadable("unexpected closing parenthesis", offset)
+            item = open_lists.pop()[0]
+        else:
+            item = _atom(token)
+        if open_lists:
+            open_lists[-1][0].append(item)
+        elif i + 1 < len(tokens):
+            raise unreadable("trailing content after expression", tokens[i + 1][1])
+        else:
+            return item
+    raise unreadable("unclosed parenthesis", open_lists[-1][1])
+
+
+def _atom(token: str):
+    for number in (int, float):
+        try:
+            return number(token)
+        except ValueError:
+            pass
+    return token
 
 
 def _build_condition(tree, fluents: dict, allow_belief: bool):
@@ -133,7 +196,7 @@ def _build_condition(tree, fluents: dict, allow_belief: bool):
     head = tree[0]
     if not isinstance(head, str):
         raise FormulaError(f"unknown operator {head!r}")
-    if head in _COMPARISONS:
+    if head in _COMPARE:
         return _build_comparison(tree, fluents, allow_belief)
     if head == "not":
         if len(tree) != 2:
@@ -232,8 +295,12 @@ def _build_value(tree, fluents: dict):
     raise FormulaError(f"unknown value operator {head!r}")
 
 
-def eval_condition(node, world) -> bool:
-    """Evaluate a belief-free condition at a total fluent assignment."""
+def eval_condition(node, world, bel_fn=None) -> bool:
+    """Evaluate a condition or goal formula at a total fluent assignment.
+
+    `bel_fn(condition) -> float` answers belief and knowledge atoms;
+    without it the formula must be a plain, belief-free condition.
+    """
     if isinstance(node, TrueFormula):
         return True
     if isinstance(node, FalseFormula):
@@ -241,42 +308,27 @@ def eval_condition(node, world) -> bool:
     if isinstance(node, Comparison):
         lhs = world[node.fluent]
         rhs = world[node.rhs] if node.rhs_is_fluent else node.rhs
-        return _compare(node.op, lhs, rhs)
+        return _COMPARE[node.op](lhs, rhs)
     if isinstance(node, Not):
-        return not eval_condition(node.inner, world)
+        return not eval_condition(node.inner, world, bel_fn)
     if isinstance(node, And):
-        return all(eval_condition(p, world) for p in node.parts)
+        return all(eval_condition(p, world, bel_fn) for p in node.parts)
     if isinstance(node, Or):
-        return any(eval_condition(p, world) for p in node.parts)
+        return any(eval_condition(p, world, bel_fn) for p in node.parts)
     if isinstance(node, Implies):
-        return (not eval_condition(node.lhs, world)) or eval_condition(node.rhs, world)
-    raise FormulaError(f"not a plain condition: {node!r}")
-
-
-def eval_objective(node, world, bel_fn) -> bool:
-    """Evaluate a goal formula; `bel_fn(condition) -> float` answers bel atoms.
-
-    With bel_fn=None the formula must be belief-free.
-    """
-    if isinstance(node, BeliefAtom):
-        if bel_fn is None:
-            raise FormulaError("belief atom in a context without belief")
-        return _compare_belief(node.op, bel_fn(node.inner), node.bound)
-    if isinstance(node, KnowledgeAtom):
-        if bel_fn is None:
-            raise FormulaError("knowledge atom in a context without belief")
-        return bel_fn(node.inner) >= 1.0 - BELIEF_EPS
-    if isinstance(node, Not):
-        return not eval_objective(node.inner, world, bel_fn)
-    if isinstance(node, And):
-        return all(eval_objective(p, world, bel_fn) for p in node.parts)
-    if isinstance(node, Or):
-        return any(eval_objective(p, world, bel_fn) for p in node.parts)
-    if isinstance(node, Implies):
-        return (not eval_objective(node.lhs, world, bel_fn)) or eval_objective(
+        return (not eval_condition(node.lhs, world, bel_fn)) or eval_condition(
             node.rhs, world, bel_fn
         )
-    return eval_condition(node, world)
+    if bel_fn is not None:
+        if isinstance(node, BeliefAtom):
+            value = bel_fn(node.inner)
+            if node.op in ("=", "!="):
+                # equality against a real-valued degree gets a tolerance band
+                return (abs(value - node.bound) <= BELIEF_EPS) == (node.op == "=")
+            return _COMPARE[node.op](value, node.bound)
+        if isinstance(node, KnowledgeAtom):
+            return bel_fn(node.inner) >= 1.0 - BELIEF_EPS
+    raise FormulaError(f"not a plain condition: {node!r}")
 
 
 def eval_value(node, world):
@@ -289,93 +341,48 @@ def eval_value(node, world):
         return eval_value(branch, world)
     if isinstance(node, Arith):
         vals = [eval_value(a, world) for a in node.args]
-        if node.op == "+":
-            return sum(vals)
         if node.op == "-":
-            if len(vals) == 1:
-                return -vals[0]
-            return vals[0] - vals[1]
-        if node.op == "*":
-            out = 1
-            for v in vals:
-                out *= v
-            return out
-        if node.op == "min":
-            return min(vals)
-        return max(vals)
+            return vals[0] - vals[1] if len(vals) == 2 else -vals[0]
+        return _ARITH[node.op](vals)
     raise FormulaError(f"not a value expression: {node!r}")
+
+
+def _children(node) -> tuple:
+    if isinstance(node, (Not, BeliefAtom, KnowledgeAtom)):
+        return (node.inner,)
+    if isinstance(node, (And, Or)):
+        return node.parts
+    if isinstance(node, Implies):
+        return (node.lhs, node.rhs)
+    if isinstance(node, Arith):
+        return node.args
+    if isinstance(node, Conditional):
+        return (node.test, node.then, node.orelse)
+    return ()
+
+
+def walk(node):
+    """Every node of a formula or value expression, depth first: a node
+    before its children, children in order."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(_children(node)))
 
 
 def mentioned_fluents(node) -> frozenset:
     """All fluent names a condition or value expression reads."""
-    if isinstance(node, Comparison):
-        base = {node.fluent}
-        if node.rhs_is_fluent:
-            base.add(node.rhs)
-        return frozenset(base)
-    if isinstance(node, FluentRef):
-        return frozenset({node.name})
-    if isinstance(node, Not):
-        return mentioned_fluents(node.inner)
-    if isinstance(node, (And, Or)):
-        out = frozenset()
-        for p in node.parts:
-            out |= mentioned_fluents(p)
-        return out
-    if isinstance(node, Implies):
-        return mentioned_fluents(node.lhs) | mentioned_fluents(node.rhs)
-    if isinstance(node, (BeliefAtom, KnowledgeAtom)):
-        return mentioned_fluents(node.inner)
-    if isinstance(node, Arith):
-        out = frozenset()
-        for a in node.args:
-            out |= mentioned_fluents(a)
-        return out
-    if isinstance(node, Conditional):
-        return (
-            mentioned_fluents(node.test)
-            | mentioned_fluents(node.then)
-            | mentioned_fluents(node.orelse)
-        )
-    return frozenset()
+    names = set()
+    for n in walk(node):
+        if isinstance(n, Comparison):
+            names.add(n.fluent)
+            if n.rhs_is_fluent:
+                names.add(n.rhs)
+        elif isinstance(n, FluentRef):
+            names.add(n.name)
+    return frozenset(names)
 
 
 def has_belief_atoms(node) -> bool:
-    if isinstance(node, (BeliefAtom, KnowledgeAtom)):
-        return True
-    if isinstance(node, Not):
-        return has_belief_atoms(node.inner)
-    if isinstance(node, (And, Or)):
-        return any(has_belief_atoms(p) for p in node.parts)
-    if isinstance(node, Implies):
-        return has_belief_atoms(node.lhs) or has_belief_atoms(node.rhs)
-    return False
-
-
-def _compare(op: str, lhs, rhs) -> bool:
-    if op == "=":
-        return lhs == rhs
-    if op == "!=":
-        return lhs != rhs
-    if op == "<":
-        return lhs < rhs
-    if op == "<=":
-        return lhs <= rhs
-    if op == ">":
-        return lhs > rhs
-    return lhs >= rhs
-
-
-def _compare_belief(op: str, value: float, bound: float) -> bool:
-    # equality against a real-valued degree gets a tolerance band
-    if op == "=":
-        return abs(value - bound) <= BELIEF_EPS
-    if op == "!=":
-        return abs(value - bound) > BELIEF_EPS
-    if op == "<":
-        return value < bound
-    if op == "<=":
-        return value <= bound
-    if op == ">":
-        return value > bound
-    return value >= bound
+    return any(isinstance(n, (BeliefAtom, KnowledgeAtom)) for n in walk(node))

@@ -35,7 +35,13 @@ import numpy as np
 from .belief import bel, condition, eval_goal, initial_belief, progress
 from .controller import Controller
 from .exec_exact import Config, VerifierInputError, _checked, _Search, successors
-from .formulas import BeliefAtom, eval_condition, has_belief_atoms
+from .formulas import (
+    BeliefAtom,
+    KnowledgeAtom,
+    eval_condition,
+    has_belief_atoms,
+    walk,
+)
 from .theory import Domain
 
 RUN_BLOCK = 8192  # runs stepped together on the vectorized path
@@ -76,25 +82,14 @@ def _prior(domain: Domain):
 
 
 def _bel_target(domain: Domain):
-    """Formula whose belief is averaged into mean_final_bel: the goal's
-    first belief atom's content, or the goal itself when objective."""
-
-    def first_atom(node):
-        if isinstance(node, BeliefAtom):
-            return node.inner
-        for attr in ("inner", "lhs", "rhs"):
-            child = getattr(node, attr, None)
-            if child is not None:
-                found = first_atom(child)
-                if found is not None:
-                    return found
-        for child in getattr(node, "parts", ()):
-            found = first_atom(child)
-            if found is not None:
-                return found
-        return None
-
-    return first_atom(domain.goal) or domain.goal
+    """Formula whose belief is averaged into mean_final_bel: the content
+    of the goal's first belief atom, else of its first knowledge atom,
+    else the goal itself."""
+    for kind in (BeliefAtom, KnowledgeAtom):
+        for node in walk(domain.goal):
+            if isinstance(node, kind):
+                return node.inner
+    return domain.goal
 
 
 class _Chain:

@@ -55,6 +55,16 @@ class DomainError(ValueError):
     """Raised for structurally invalid domain descriptions."""
 
 
+def read_json(source, error, what: str):
+    """The JSON document in a string or an open text file; text that is
+    not JSON, bytes that are not UTF-8 and nesting too deep to decode
+    raise `error`, the input error class of the document."""
+    try:
+        return json.loads(source) if isinstance(source, str) else json.load(source)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from exc
+
+
 def _finite(value) -> bool:
     """True for a JSON number that is finite; bools, NaN and infinities
     are rejected."""
@@ -339,10 +349,7 @@ class Domain:
 def parse_domain(data) -> Domain:
     """Build a validated Domain from a JSON document (text or parsed)."""
     if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"domain file is not valid JSON: {exc}") from exc
+        data = read_json(data, DomainError, "domain file")
     if not isinstance(data, dict):
         raise DomainError("domain description must be a JSON object")
 
@@ -387,7 +394,7 @@ def parse_domain(data) -> Domain:
 
 def load_domain(path) -> Domain:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_domain(json.load(handle))
+        return parse_domain(read_json(handle, DomainError, "domain file"))
 
 
 def world_from_dict(domain: Domain, raw: dict) -> WorldState:
@@ -614,6 +621,15 @@ def _parse_sensing_models(raw, fluents: dict, actions: dict) -> dict:
             rows.append((condition, {t: float(w) for t, w in weights.items()}))
         if not rows:
             raise DomainError(f"sensor of {name!r} needs a table or gaussian form")
+        # a table reading is looked up by its value, so values must differ
+        by_value = {}
+        for reading in readings:
+            other = by_value.setdefault(reading.value, reading.token)
+            if other != reading.token:
+                raise DomainError(
+                    f"readings {other!r} and {reading.token!r} of {name!r} "
+                    f"share the value {reading.value!r}"
+                )
         sensing[name] = SensingModel(name, tuple(readings), table=tuple(rows))
     return sensing
 

@@ -154,6 +154,18 @@ def test_verify_unknown_criterion_lists_tokens(capsys):
         ("domain", ["actions", 0, "name"], {"name": "chop"}),
         ("domain", ["sensing_models", 0, "action"], {}),
         ("domain", ["actions", 0, "effects", 0, "fluent"], {}),
+        # "down" is symbolic, so its value defaults to its ordinal, 0
+        ("domain", ["sensing_models", 0, "readings", 1, "value"], 0),
+        # "1" denotes 1.0 and "x", the second reading, gets the ordinal 1.0
+        (
+            "domain",
+            ["sensing_models", 0],
+            {
+                "action": "getd",
+                "readings": [{"token": "1"}, {"token": "x"}],
+                "table": [{"when": "true", "likelihoods": {"1": 0.2, "x": 0.8}}],
+            },
+        ),
         ("scenario", [0, "actual_outcome"], [1]),
         ("scenario", [0, "actual_outcome"], {"actual": "chop"}),
         ("scenario", [0, "advised_action"], None),
@@ -188,6 +200,8 @@ def test_verify_unknown_criterion_lists_tokens(capsys):
         "action-name-object",
         "sensing-action-object",
         "effect-fluent-object",
+        "reading-values-shared",
+        "reading-default-values-shared",
         "scenario-outcome-list",
         "scenario-outcome-object",
         "scenario-action-null",
@@ -500,3 +514,92 @@ def test_export_bad_controller_file(capsys, tmp_path):
     code, _out, err = run_cli(capsys, "export", str(bad))
     assert code == 3
     assert "error:" in err
+
+
+def assert_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3, argv
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_deeply_nested_json_is_input_error(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    domain, controller = fixture_path("treechop_noisyact_bel.json"), fixture_path("fig1.json")
+    scenario = fixture_path("scenario_alpha.json")
+    for argv in (
+        ["verify", str(deep), controller, "--criterion", "def4"],
+        ["verify", domain, str(deep), "--criterion", "def4"],
+        ["trace", domain, controller, "--scenario", str(deep), "--real", '{"d": 1}'],
+        ["trace", domain, controller, "--scenario", scenario,
+         "--real", "[" * 100000 + "]" * 100000],
+    ):
+        assert_input_error(capsys, argv)
+
+
+def write_domain(tmp_path, name, edit):
+    """A new file holding fixture domain `name` after `edit(data)`."""
+    with open(fixture_path(name)) as handle:
+        data = json.load(handle)
+    edit(data)
+    path = tmp_path / f"{len(list(tmp_path.iterdir()))}-{name}"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_deeply_nested_formulas_are_input_errors(capsys, tmp_path):
+    def deep_goal(data):
+        data["goal"] = "(not " * 2999 + "(= d 0)" + ")" * 2999
+
+    def deep_precondition(data):
+        tree = [">=", "d", 1]
+        for _ in range(499):  # 500 levels
+            tree = ["not", tree]
+        data["actions"][0]["precondition"] = tree
+
+    for edit in (deep_goal, deep_precondition):
+        domain = write_domain(tmp_path, "treechop_exact.json", edit)
+        assert_input_error(
+            capsys, ["verify", domain, fixture_path("fig1.json"), "--criterion", "def4"]
+        )
+
+
+def test_simulate_know_goal_averages_its_content(capsys, tmp_path):
+    # the belief averaged into mean_final_bel is that in the content of the
+    # goal's first bel atom, else of its first know atom, else in the goal
+    def with_goal(goal):
+        return write_domain(
+            tmp_path, "treechop_noisyact_bel.json", lambda data: data.update(goal=goal)
+        )
+
+    fig1 = fixture_path("fig1.json")
+
+    def simulate(domain, *flags):
+        code, out, _err = run_cli(
+            capsys, "simulate", domain, fig1, "--runs", "300", "--seed", "3", "--json", *flags
+        )
+        assert code == 0
+        return json.loads(out)
+
+    know = with_goal("(know (= d 0))")
+    # the sensor is exact, so a run that reaches the final state after a
+    # "down" reading knows d = 0; at the default step cap of 330 every run
+    # gets there, up to a chance far below 1e-30
+    for flags in ((), ("--track-belief",)):
+        report = simulate(know, *flags)
+        assert report["termination_rate"] == 1.0
+        assert report["success_rate"] == 1.0
+        assert report["mean_final_bel"] == 1.0
+    # at a step cap of 6 some runs stop part way, with part of their belief
+    # on d = 0; the know goal, a bel goal and the objective goal (= d 0)
+    # all average the belief in (= d 0)
+    capped = ("--step-cap", "6")
+    reports = [
+        simulate(know, *capped),
+        simulate(know, *capped, "--track-belief"),
+        simulate(with_goal("(> (bel (= d 0)) 0.5)"), *capped),
+        simulate(with_goal("(= d 0)"), *capped, "--track-belief"),
+    ]
+    assert reports[0]["truncated_rate"] > 0.0
+    assert len({r["mean_final_bel"] for r in reports}) == 1

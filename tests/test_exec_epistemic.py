@@ -1,10 +1,13 @@
+import json
 import random
 
 import pytest
 
-from loopverify.belief import bel
+from loopverify.belief import bel, condition, initial_belief, progress
+from loopverify.controller import Controller
 from loopverify.exec_epistemic import (
     EpistemicConfig,
+    ExecutionStuck,
     ScenarioError,
     ScenarioStep,
     load_scenario,
@@ -194,10 +197,136 @@ def test_adversarial_fixture_verdicts(fig1, fig4, treechop_noisyact_bel, fig4_pi
 
 
 def test_epistemic_mode_validation(fig1, treechop_noisyact_bel):
+    domain = treechop_noisyact_bel
     with pytest.raises(VerifierInputError):
-        verify_epistemic(fig1, treechop_noisyact_bel, mode="pessimistic")
+        verify_epistemic(fig1, domain, mode="pessimistic")
     with pytest.raises(VerifierInputError):
-        verify_epistemic(fig1, treechop_noisyact_bel, depth_bound=-1)
+        verify_epistemic(fig1, domain, depth_bound=-1)
+    real0 = world_from_dict(domain, {"d": 1})
+    cfg = EpistemicConfig(0, initial_belief(domain), real0)
+    for modes in ({"poss_mode": "bogus"}, {"real_mode": "bogus"}, {"poss_mode": "outcome"}):
+        with pytest.raises(VerifierInputError, match="unknown"):
+            verify_epistemic(fig1, domain, **modes)
+        with pytest.raises(VerifierInputError, match="unknown"):
+            run_scenario(fig1, domain, real0, alpha_scenario(), **modes)
+        with pytest.raises(VerifierInputError, match="unknown"):
+            step_belief(fig1, domain, cfg, ScenarioStep("chop"), **modes)
+
+
+def chop_domain(initial, goal, outcomes, extra_actions=()):
+    """d in 0..2; chop needs d >= 1 and lowers d by one; chop_noop does
+    nothing; `outcomes` is chop's outcome model; no sensing."""
+    return parse_domain(
+        {
+            "fluents": [{"name": "d", "range": [0, 2]}],
+            "actions": [
+                {"name": "chop", "precondition": "(>= d 1)",
+                 "effects": [{"fluent": "d", "value": "(- d 1)"}]},
+                {"name": "chop_noop"},
+                *extra_actions,
+            ],
+            "outcome_models": [
+                {"intended": "chop",
+                 "outcomes": [{"actual": a, "likelihood": p} for a, p in outcomes]}
+            ],
+            "initial": [{"state": {"d": d}, "weight": 1.0} for d in initial],
+            "goal": goal,
+        }
+    )
+
+
+def test_poss_at_real_gates_only_the_real_world():
+    # three chops from d = 2, where a chop bites with 0.9 or does nothing.
+    # After two chops the belief holds d = 0, where chop is inexecutable, so
+    # gated at the belief no run gets past the third chop. Gated at the real
+    # world, the run chop, noop, chop ends at d = 0 in the final state, and
+    # the goal "true" holds there; the run chop, chop is stuck at d = 0.
+    domain = chop_domain([2], "true", [("chop", 0.9), ("chop_noop", 0.1)])
+    three_chops = Controller(
+        [0, 1, 2, 3], 0, 3, {0: "chop", 1: "chop", 2: "chop"},
+        {(0, "0"): 1, (1, "0"): 2, (2, "0"): 3},
+    )
+    d2 = world_from_dict(domain, {"d": 2})
+    verdict = verify_epistemic(three_chops, domain)
+    assert (verdict.status, verdict.counterexample_world) == ("Fails", d2)
+    verdict = verify_epistemic(three_chops, domain, poss_mode="real")
+    assert verdict.status == "Holds"
+    steps = [(cfg.world["d"], action) for cfg, action, _obs in verdict.witnesses[0][1]]
+    assert steps in (
+        [(2, "chop"), (1, "chop_noop"), (1, "chop")],
+        [(2, "chop_noop"), (2, "chop"), (1, "chop")],
+    )
+    verdict = verify_epistemic(three_chops, domain, mode="adversarial", poss_mode="real")
+    assert (verdict.status, verdict.counterexample_world) == ("Fails", d2)
+
+
+def test_step_belief_dead_ends_and_contradictions(fig1, treechop_exact):
+    domain = treechop_exact
+    prior = initial_belief(domain)  # d = 1..10
+
+    def at(d):
+        return world_from_dict(domain, {"d": d})
+
+    chop, up = ScenarioStep("chop"), ScenarioStep("getd", reading="up")
+    # chop then "down" leaves a belief holding only d = 0
+    at_zero = condition(progress(prior, "chop", domain), "getd", "down", domain)
+
+    with pytest.raises(ScenarioError, match="past the final state"):
+        step_belief(fig1, domain, EpistemicConfig(2, prior, at(1)), chop)
+    mute = Controller([0, 1, 2], 0, 2, {0: "chop"}, {(0, "0"): 1})
+    with pytest.raises(ExecutionStuck, match="has no advice"):
+        step_belief(mute, domain, EpistemicConfig(1, prior, at(1)), up)
+    with pytest.raises(ExecutionStuck, match="inexecutable at the real world"):
+        step_belief(fig1, domain, EpistemicConfig(0, prior, at(0)), chop, poss_mode="real")
+    # gated at the real world d = 2, the chop kills every world of the belief
+    with pytest.raises(ExecutionStuck, match="belief annihilated"):
+        step_belief(fig1, domain, EpistemicConfig(0, at_zero, at(2)), chop, poss_mode="real")
+    with pytest.raises(ScenarioError, match="needs a reading"):
+        step_belief(fig1, domain, EpistemicConfig(1, prior, at(2)), ScenarioStep("getd"))
+    # "up" is live at the real world d = 2 but impossible at the belief d = 0
+    with pytest.raises(ScenarioError, match="impossible under current belief"):
+        step_belief(fig1, domain, EpistemicConfig(1, at_zero, at(2)), up)
+    # fig1 less its "up" edge
+    no_up = Controller([0, 1, 2], 0, 2, {0: "chop", 1: "getd"}, {(0, "0"): 1, (1, "down"): 2})
+    with pytest.raises(ExecutionStuck, match="no transition from 1 on observation 'up'"):
+        step_belief(no_up, domain, EpistemicConfig(1, prior, at(2)), up)
+
+
+def test_step_belief_outcome_inexecutable_at_the_real_world():
+    # slip is an outcome of chop that needs d >= 2, so it cannot occur at d = 1
+    slip = {"name": "slip", "precondition": "(>= d 2)",
+            "effects": [{"fluent": "d", "value": "(- d 2)"}]}
+    domain = chop_domain(
+        [1, 2], "true", [("chop", 0.8), ("chop_noop", 0.1), ("slip", 0.1)], [slip]
+    )
+    one_chop = Controller([0, 1], 0, 1, {0: "chop"}, {(0, "0"): 1})
+    cfg = EpistemicConfig(0, initial_belief(domain), world_from_dict(domain, {"d": 1}))
+    with pytest.raises(ScenarioError, match="outcome 'slip' is inexecutable at the real world"):
+        step_belief(one_chop, domain, cfg, ScenarioStep("chop", outcome="slip"))
+
+
+def test_run_scenario_fails_at_a_dead_end_and_on_a_false_goal(fig1, treechop_exact):
+    # chop in a loop from d = 1: the first chop leaves d = 0 possible, so the
+    # second is inexecutable in some possible world
+    loop = Controller([0, 1], 0, 1, {0: "chop"}, {(0, "0"): 0})
+    d1 = world_from_dict(treechop_exact, {"d": 1})
+    verdict, cfg = run_scenario(loop, treechop_exact, d1, [ScenarioStep("chop")] * 3)
+    assert verdict.status == "Fails"
+    assert verdict.counterexample_world == d1
+    assert "inexecutable in some possible world" in verdict.note
+    assert [(c.world["d"], a) for c, a, _o in verdict.witness] == [(1, "chop")]
+    assert cfg.control == 0 and cfg.real["d"] == 0
+    # from d = 1 scenario alpha ends after "down", where only d = 0 is possible
+    with open(fixture_path("treechop_noisyact_bel.json")) as handle:
+        data = json.load(handle)
+    data["goal"] = "(> (bel (= d 1)) 0.5)"
+    domain = parse_domain(data)
+    verdict, cfg = run_scenario(
+        fig1, domain, world_from_dict(domain, {"d": 1}), alpha_scenario()
+    )
+    assert cfg.control == fig1.final
+    assert verdict.status == "Fails"
+    assert verdict.note == "goal false at the final belief"
 
 
 def test_existential_on_gaussian_sensing(fig3, treechop_noisy):

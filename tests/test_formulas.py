@@ -9,14 +9,16 @@ from loopverify.formulas import (
     Comparison,
     FormulaError,
     KnowledgeAtom,
+    MAX_DEPTH,
     eval_condition,
-    eval_objective,
     eval_value,
     has_belief_atoms,
     mentioned_fluents,
     parse_condition,
     parse_objective,
     parse_value_expr,
+    read,
+    tokenize,
 )
 from loopverify.theory import FluentDecl, WorldState
 
@@ -103,7 +105,7 @@ def test_belief_atom_swapped_sides():
     a = parse_objective("(> (bel (< d 10)) 0.9)", FLUENTS)
     b = parse_objective("(< 0.9 (bel (< d 10)))", FLUENTS)
     for v in (0.5, 0.9, 0.95):
-        assert eval_objective(a, world(), lambda f: v) == eval_objective(
+        assert eval_condition(a, world(), lambda f: v) == eval_condition(
             b, world(), lambda f: v
         )
 
@@ -116,16 +118,18 @@ def test_belief_atoms_not_allowed_in_conditions():
 def test_know_is_threshold_belief():
     goal = parse_objective("(know (= d 0))", FLUENTS)
     assert isinstance(goal, KnowledgeAtom)
-    assert eval_objective(goal, world(), lambda f: 1.0)
-    assert eval_objective(goal, world(), lambda f: 1.0 - BELIEF_EPS / 2)
-    assert not eval_objective(goal, world(), lambda f: 1.0 - 1e-6)
+    assert eval_condition(goal, world(), lambda f: 1.0)
+    assert eval_condition(goal, world(), lambda f: 1.0 - BELIEF_EPS / 2)
+    assert not eval_condition(goal, world(), lambda f: 1.0 - 1e-6)
+    with pytest.raises(FormulaError):  # know is a bare atom, with no threshold
+        parse_objective("(> (know (= d 0)) 0.9)", FLUENTS)
 
 
 def test_objective_mixes_belief_and_state():
     goal = parse_objective("(and (= x 1) (> (bel (< d 10)) 0.5))", FLUENTS)
-    assert eval_objective(goal, world(x=1), lambda f: 0.8)
-    assert not eval_objective(goal, world(x=0), lambda f: 0.8)
-    assert not eval_objective(goal, world(x=1), lambda f: 0.4)
+    assert eval_condition(goal, world(x=1), lambda f: 0.8)
+    assert not eval_condition(goal, world(x=0), lambda f: 0.8)
+    assert not eval_condition(goal, world(x=1), lambda f: 0.4)
 
 
 def test_value_expressions():
@@ -169,3 +173,109 @@ def test_malformed_shapes_rejected():
     for bad in ("(and)", "(not a b)", "(<= d)", "(bel (= d 0))", "(= d 0 1)"):
         with pytest.raises(FormulaError):
             parse_condition(bad, FLUENTS)
+
+
+def test_belief_atoms_need_a_belief():
+    # without bel_fn a goal's belief or knowledge atom is not a plain condition
+    for text in ("(> (bel (< d 10)) 0.9)", "(not (know (= d 0)))"):
+        goal = parse_objective(text, FLUENTS)
+        with pytest.raises(FormulaError, match="not a plain condition"):
+            eval_condition(goal, world())
+
+
+def test_mentioned_fluents_of_value_expressions():
+    expr = parse_value_expr("(ite (= material wood) (max d 1) (- x))", FLUENTS)
+    assert mentioned_fluents(expr) == frozenset({"material", "d", "x"})
+    assert mentioned_fluents(parse_value_expr("7", FLUENTS)) == frozenset()
+    assert mentioned_fluents(parse_condition("(implies (<= x d) true)", FLUENTS)) == (
+        frozenset({"x", "d"})
+    )
+
+
+def test_belief_atoms_found_at_any_depth():
+    goal = parse_objective("(or (= x 1) (not (implies (= d 0) (know (= x 2)))))", FLUENTS)
+    assert has_belief_atoms(goal)
+    assert not has_belief_atoms(parse_objective("(or (= x 1) (not (= d 0)))", FLUENTS))
+
+
+def nested_nots(depth):
+    """A formula `depth` parentheses deep: nots around one comparison."""
+    return "(not " * (depth - 1) + "(= d 0)" + ")" * (depth - 1)
+
+
+def test_nesting_up_to_the_cap_is_read_and_evaluated():
+    node = parse_condition(nested_nots(MAX_DEPTH), FLUENTS)
+    # MAX_DEPTH - 1 nots around (= d 0): true at d = 0 iff that count is even
+    assert eval_condition(node, world(d=0)) == (MAX_DEPTH % 2 == 1)
+    deep_and = "(and " * (MAX_DEPTH - 1) + "(= d 0)" + ")" * (MAX_DEPTH - 1)
+    assert eval_condition(parse_objective(deep_and, FLUENTS), world(d=0))
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 3000])
+def test_nesting_past_the_cap_is_refused(depth):
+    with pytest.raises(FormulaError, match=f"nested deeper than {MAX_DEPTH} levels"):
+        parse_condition(nested_nots(depth), FLUENTS)
+    # the JSON-list form of the same formula passes through the same check
+    tree = ["=", "d", 0]
+    for _ in range(depth - 1):
+        tree = ["not", tree]
+    with pytest.raises(FormulaError, match="nested deeper"):
+        parse_condition(tree, FLUENTS)
+    with pytest.raises(FormulaError, match="nested deeper"):
+        parse_value_expr(["+", 1, tree], FLUENTS)
+
+
+# the s-expression reader
+
+
+def test_tokenize_offsets():
+    tokens = tokenize("(and (= d 0) x)")
+    assert [t for t, _ in tokens] == ["(", "and", "(", "=", "d", "0", ")", "x", ")"]
+    assert tokens[0] == ("(", 0)
+    assert tokens[1] == ("and", 1)
+    assert tokens[4] == ("d", 8)
+
+
+def test_parse_atoms():
+    assert read("42") == 42.0
+    assert read("-3") == -3.0
+    assert read("2.5") == 2.5
+    assert read("wood") == "wood"
+    assert read("<=") == "<="
+
+
+def test_parse_nesting():
+    assert read("(and (= d 0) (> x 2))") == [
+        "and",
+        ["=", "d", 0.0],
+        [">", "x", 2.0],
+    ]
+    assert read("()") == []
+
+
+def test_parse_rejects_trailing_content():
+    with pytest.raises(FormulaError) as info:
+        read("(= d 0) extra")
+    assert str(info.value) == (
+        "unreadable expression '(= d 0) extra': "
+        "trailing content after expression (at offset 8)"
+    )
+
+
+def test_parse_rejects_unclosed():
+    with pytest.raises(FormulaError, match=r"unclosed parenthesis \(at offset 0\)"):
+        read("(and (= d 0)")
+    with pytest.raises(FormulaError, match=r"unclosed parenthesis \(at offset 5\)"):
+        read("(and (= d 0")  # the innermost open parenthesis
+    with pytest.raises(FormulaError, match=r"unexpected closing parenthesis \(at offset 0\)"):
+        read(")")
+    with pytest.raises(FormulaError, match=r"empty input \(at offset 0\)"):
+        read("")
+
+
+def test_error_carries_position():
+    with pytest.raises(FormulaError) as info:
+        parse_condition("(and (= d 0)", FLUENTS)
+    assert str(info.value) == (
+        "unreadable expression '(and (= d 0)': unclosed parenthesis (at offset 0)"
+    )

@@ -22,11 +22,15 @@ from oracles import absorption_by_dicts
 # chop is inexecutable) on its first step and is stuck on its second
 CHOP_LOOP = Controller([0, 1], 0, 1, {0: "chop"}, {(0, "0"): 0})
 
+# fig1 less its "up" edge: a run from d=0 is stuck at once (chop is
+# inexecutable), from d=1 it succeeds, and from d=2 it is stuck on "up"
+NO_UP = Controller([0, 1, 2], 0, 2, {0: "chop", 1: "getd"}, {(0, "0"): 1, (1, "down"): 2})
 
-def chop_loop_domain():
+
+def chop_loop_domain(initial=(1,)):
     with open(fixture_path("treechop_exact.json")) as handle:
         data = json.load(handle)
-    data["initial"] = [{"state": {"d": 1}, "weight": 1.0}]
+    data["initial"] = [{"state": {"d": d}, "weight": 1.0} for d in initial]
     return parse_domain(data)
 
 
@@ -147,11 +151,13 @@ def test_scalar_and_vectorized_paths_agree(
     fig1, treechop_noisyact, treechop_metal, monkeypatch
 ):
     # the chop loop reaches a dead end on the last allowed step: truncated;
-    # the metal world's runs loop on through more than one window of draws
+    # the metal world's runs loop on through more than one window of draws;
+    # only the runs from d=1 of NO_UP end, the others are stuck
     cases = [
         (fig1, treechop_noisyact, 20000, 25),
         (CHOP_LOOP, chop_loop_domain(), 100, 1),
         (fig1, treechop_metal, 300, mc.WINDOW + 100),
+        (NO_UP, chop_loop_domain([0, 1, 2]), 300, 5),
     ]
     fast = [simulate(c, d, runs=n, step_cap=cap, seed=7) for c, d, n, cap in cases]
     monkeypatch.setattr(mc, "build_chain", lambda *_args: None)
@@ -162,6 +168,8 @@ def test_scalar_and_vectorized_paths_agree(
         assert b.truncated_rate == a.truncated_rate
     assert slow[1].truncated_rate == 1.0
     assert 0.0 < slow[2].truncated_rate < 1.0
+    assert 0.0 < slow[3].success_rate == slow[3].termination_rate < 1.0
+    assert slow[3].truncated_rate == 0.0
 
 
 def test_lazy_uniform_cells_match_the_eager_matrix():
@@ -239,6 +247,19 @@ def test_belief_goal_forces_tracking(fig1, treechop_noisyact_bel):
     assert report.mean_final_bel is not None
     assert 0.0 <= report.mean_final_bel <= 1.0
     assert 0.9 < report.success_rate <= 1.0
+
+
+def test_mean_final_bel_prefers_a_bel_atom_to_a_know_atom(fig1):
+    # the first bel atom's content wins, even behind a know atom
+    def mean_final_bel(goal):
+        with open(fixture_path("treechop_noisyact_bel.json")) as handle:
+            data = json.load(handle)
+        data["goal"] = goal
+        return simulate(fig1, parse_domain(data), runs=200, step_cap=6, seed=4).mean_final_bel
+
+    mixed = mean_final_bel("(or (know (= d 0)) (> (bel (< d 3)) 0.5))")
+    assert mixed == mean_final_bel("(> (bel (< d 3)) 0.5)")
+    assert mixed != mean_final_bel("(know (= d 0))")
 
 
 def test_objective_goal_skips_tracking_unless_asked(fig1, treechop_noisyact):

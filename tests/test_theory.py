@@ -209,6 +209,31 @@ def test_reserved_null_observation():
         parse_domain(data)
 
 
+def test_table_readings_need_distinct_values():
+    # likelihood() finds a table reading by its value, so a shared value
+    # would give the second reading the first one's likelihood
+    def sensor(readings):
+        data = variant()
+        data["sensing_models"][0] = {
+            "action": "getd",
+            "readings": readings,
+            "table": [{"when": "true", "likelihoods": {"1": 0.2, "x": 0.8}}],
+        }
+        return data
+
+    # "1" denotes 1.0; "x", the second reading, defaults to its ordinal 1.0
+    for readings in (
+        [{"token": "1"}, {"token": "x"}],
+        [{"token": "1"}, {"token": "x", "value": 1}],
+    ):
+        with pytest.raises(DomainError, match="share the value 1.0"):
+            parse_domain(sensor(readings))
+    domain = parse_domain(sensor([{"token": "1"}, {"token": "x", "value": 2}]))
+    model = domain.sensing_models["getd"]
+    w = world_from_dict(domain, {"d": 2, "material": "wood"})
+    assert [model.likelihood(w, r.value) for r in model.readings] == [0.2, 0.8]
+
+
 def test_gaussian_sensor_parses():
     data = variant()
     data["sensing_models"] = [
