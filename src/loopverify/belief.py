@@ -25,7 +25,7 @@ possible world of a belief is memoized the same way.
 
 from __future__ import annotations
 
-from .formulas import BELIEF_EPS, eval_condition
+from .formulas import BELIEF_EPS, Comparison, eval_condition, walk
 from .theory import Domain, Reading, WorldState
 
 # decimal places key() rounds to unless told otherwise; cached per belief
@@ -235,7 +235,9 @@ def eval_goal(b: BeliefState, goal) -> bool:
     """Evaluate a goal formula at a belief state.
 
     Belief/knowledge atoms are answered by bel(); everything objective
-    must hold at every positive-weight world.
+    must hold at every positive-weight world. A goal that reads no
+    fluent outside its atoms has the same value at every world, so it is
+    evaluated once.
     """
     cache = {}
 
@@ -244,4 +246,6 @@ def eval_goal(b: BeliefState, goal) -> bool:
             cache[inner] = bel(b, inner)
         return cache[inner]
 
+    if not any(isinstance(n, Comparison) for n in walk(goal, into_atoms=False)):
+        return not b.particles or eval_condition(goal, None, bel_fn)
     return all(eval_condition(goal, world, bel_fn) for world in b.worlds())

@@ -3,8 +3,12 @@
 Subcommands: verify, trace, simulate, synthesize, export. Exit codes:
 0 the criterion holds (or the command produced its output), 1 it fails,
 2 the checker could not decide within its bounds, 3 bad input. With
---json all results go to stdout as a single sorted-key JSON document
-with no timing fields, so equal inputs give byte-equal output.
+--json all results go to stdout as a single JSON document with no timing
+fields, written exactly as `json.dumps(doc, sort_keys=True, indent=2)`
+writes it: sorted keys, two-space indent, non-ASCII characters as
+`\\uXXXX` escapes, one trailing newline. Equal inputs give byte-equal
+output. The `--trace` file, the `--out-dir` files and `export --format
+json` are written the same way.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .belief import BeliefState
 from .controller import (
@@ -30,22 +35,107 @@ from .theory import DomainError, load_domain, read_json, world_from_dict
 
 _EXIT = {"Holds": 0, "Fails": 1, "Unknown": 2}
 _INPUT_ERROR = 3
+_INFINITY = float("inf")
+
+
+def _dumps(document) -> str:
+    """`json.dumps(document, sort_keys=True, indent=2)`, byte for byte.
+
+    That call cannot use CPython's C encoder, and a verdict repeats the
+    same step in many witnesses. So the text of each list and dict is
+    kept, keyed by its id and nesting level, and a container met again
+    at the same level is written by one lookup. Ids are stable here
+    because every container stays reachable from `document` until the
+    call returns.
+    """
+    return _write(document, 0, {})
+
+
+def _write(value, level: int, texts: dict) -> str:
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INFINITY:
+            return "Infinity"
+        if value == -_INFINITY:
+            return "-Infinity"
+        return float.__repr__(value)
+    key = (id(value), level)
+    text = texts.get(key)
+    if text is not None:
+        return text
+    if isinstance(value, (list, tuple)):
+        parts = [_write(item, level + 1, texts) for item in value]
+        brackets = "[]"
+    elif isinstance(value, dict):
+        parts = [
+            _quote(_key_text(k)) + ": " + _write(v, level + 1, texts)
+            for k, v in sorted(value.items())
+        ]
+        brackets = "{}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    text = brackets
+    if parts:
+        inner = "\n" + "  " * (level + 1)
+        text = (
+            brackets[0] + inner + ("," + inner).join(parts)
+            + "\n" + "  " * level + brackets[1]
+        )
+    texts[key] = text
+    return text
+
+
+def _key_text(key) -> str:
+    """A dict key as `json` turns it into a string before quoting it."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _write(key, 0, {})
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+    )
 
 
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_dumps(payload) + "\n")
 
 
-def _trace_steps(trace) -> list:
-    return [
-        {
-            "control": cfg.control,
-            "action": action,
-            "observation": obs,
-            "world": cfg.world.as_dict(),
-        }
-        for cfg, action, obs in trace
-    ]
+def _trace_steps(trace, steps: dict, worlds: dict) -> list:
+    """The steps of one witness trace. `steps` and `worlds` hold the
+    dicts already built for this payload, so a step shared by several
+    witnesses is one object, written once by `_dumps`."""
+    out = []
+    for cfg, action, obs in trace:
+        # states 1, 1.0 and True are equal keys with different JSON text
+        key = (type(cfg.control), cfg, action, obs)
+        step = steps.get(key)
+        if step is None:
+            step = steps[key] = {
+                "control": cfg.control,
+                "action": action,
+                "observation": obs,
+                "world": _world_json(cfg.world, worlds),
+            }
+        out.append(step)
+    return out
+
+
+def _world_json(world, worlds: dict) -> dict:
+    found = worlds.get(world)
+    if found is None:
+        found = worlds[world] = world.as_dict()
+    return found
 
 
 def _belief_json(belief: BeliefState, particles: bool) -> list:
@@ -61,13 +151,17 @@ def _belief_json(belief: BeliefState, particles: bool) -> list:
 
 def _verdict_json(criterion: str, verdict: Verdict) -> dict:
     payload = {"criterion": criterion, "status": verdict.status, "note": verdict.note}
+    steps, worlds = {}, {}
     if verdict.counterexample_world is not None:
         payload["counterexample_world"] = verdict.counterexample_world.as_dict()
     if verdict.witness is not None:
-        payload["witness"] = _trace_steps(verdict.witness)
+        payload["witness"] = _trace_steps(verdict.witness, steps, worlds)
     if verdict.witnesses:
         payload["witnesses"] = [
-            {"world": world.as_dict(), "trace": _trace_steps(trace)}
+            {
+                "world": _world_json(world, worlds),
+                "trace": _trace_steps(trace, steps, worlds),
+            }
             for world, trace in verdict.witnesses
         ]
     return payload
@@ -147,11 +241,13 @@ def _cmd_trace(args) -> int:
             "belief": _belief_json(final_cfg.belief, args.trace_particles),
         },
     }
+    if args.trace or args.json:
+        text = _dumps(document) + "\n"
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(document, sort_keys=True, indent=2) + "\n")
+            handle.write(text)
     if args.json:
-        _emit(document)
+        sys.stdout.write(text)
     else:
         for step in steps:
             print(
@@ -217,7 +313,7 @@ def _cmd_synthesize(args) -> int:
         for i, document in enumerate(documents):
             path = os.path.join(args.out_dir, f"controller_{i}.json")
             with open(path, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(document, sort_keys=True, indent=2) + "\n")
+                handle.write(_dumps(document) + "\n")
     if args.json:
         _emit(
             {
@@ -244,7 +340,7 @@ def _cmd_export(args) -> int:
     if args.format == "dot":
         text = export_dot(controller)
     else:
-        text = json.dumps(to_json_dict(controller), sort_keys=True, indent=2) + "\n"
+        text = _dumps(to_json_dict(controller)) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -361,14 +361,16 @@ def _children(node) -> tuple:
     return ()
 
 
-def walk(node):
+def walk(node, into_atoms: bool = True):
     """Every node of a formula or value expression, depth first: a node
-    before its children, children in order."""
+    before its children, children in order. With `into_atoms` false the
+    walk yields belief and knowledge atoms but not their contents."""
     stack = [node]
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(reversed(_children(node)))
+        if into_atoms or not isinstance(node, (BeliefAtom, KnowledgeAtom)):
+            stack.extend(reversed(_children(node)))
 
 
 def mentioned_fluents(node) -> frozenset:

@@ -13,8 +13,14 @@ from loopverify.belief import (
     know,
     progress,
 )
-from loopverify.formulas import FormulaError, parse_condition
+import loopverify.belief as belief_module
+from loopverify import exec_epistemic, load_controller, load_domain, montecarlo
+from loopverify.exec_epistemic import verify_epistemic
+from loopverify.formulas import FormulaError, eval_condition, parse_condition, parse_objective
+from loopverify.montecarlo import simulate
 from loopverify.theory import parse_domain, world_from_dict
+
+from conftest import fixture_path
 
 from generators import noisy_sensing_domain, random_domain
 from oracles import posterior_bel, posterior_paths
@@ -102,6 +108,101 @@ def test_eval_goal_objective_and_epistemic(treechop_noisyact_bel):
 def test_eval_goal_rejects_unparsed_input(treechop_exact):
     with pytest.raises(FormulaError):
         eval_goal(initial_belief(treechop_exact), "(= d 0)")
+
+
+def eval_goal_per_world(b, goal):
+    """The goal evaluated at every possible world, belief atoms by bel()."""
+    return all(
+        eval_condition(goal, world, lambda inner: bel(b, inner)) for world in b.worlds()
+    )
+
+
+GOALS = [
+    "(> (bel (< d 10)) 0.9)",
+    "(know (= d 0))",
+    "(and (know (< d 10)) (not (>= (bel (= d 0)) 0.5)))",
+    "(implies (< (bel (= d 0)) 0.2) (know (< d 11)))",
+    "(and (= d 0) (> (bel (= d 0)) 0.5))",
+    "(or (< d 3) (know (= d 0)))",
+    "true",
+    "false",
+]
+
+
+def test_eval_goal_matches_per_world_evaluation(treechop_noisyact_bel):
+    domain = treechop_noisyact_bel
+    goals = [parse_objective(text, domain.fluents) for text in GOALS]
+    rng = random.Random(7)
+    beliefs = [initial_belief(domain)]
+    for _ in range(30):
+        b = beliefs[-1]
+        try:
+            if rng.random() < 0.6:
+                b = progress(b, "chop", domain)
+            else:
+                b = condition(b, "getd", rng.choice(["up", "down"]), domain)
+        except ObservationImpossible:
+            continue
+        beliefs.append(b)
+    for b in beliefs:
+        for goal in goals:
+            assert eval_goal(b, goal) == eval_goal_per_world(b, goal)
+
+
+def test_belief_only_goal_is_evaluated_once(treechop_noisyact_bel, monkeypatch):
+    domain = treechop_noisyact_bel
+    top_level = []
+
+    def counting(node, world, bel_fn=None):
+        if bel_fn is not None:
+            top_level.append(node)
+        return eval_condition(node, world, bel_fn)
+
+    monkeypatch.setattr(belief_module, "eval_condition", counting)
+    b = initial_belief(domain)
+    assert len(b.worlds()) > 1
+    for text in GOALS[:4]:
+        top_level.clear()
+        eval_goal(b, parse_objective(text, domain.fluents))
+        assert len(top_level) == 1, text
+    top_level.clear()
+    eval_goal(b, parse_objective("(or (>= d 0) (know (= d 0)))", domain.fluents))
+    assert len(top_level) == len(b.worlds())
+
+
+def test_belief_only_goal_holds_at_an_empty_belief(treechop_noisyact_bel, monkeypatch):
+    def no_bel(*_args):
+        raise AssertionError("bel called on an empty belief")
+
+    monkeypatch.setattr(belief_module, "bel", no_bel)
+    goal = parse_objective("(> (bel (< d 10)) 0.9)", treechop_noisyact_bel.fluents)
+    assert eval_goal(BeliefState({}), goal)
+
+
+@pytest.mark.parametrize(
+    "domain_file,controller_file",
+    [("treechop_noisyact_bel.json", "fig1.json"), ("fig4_pickup.json", "fig4.json")],
+)
+def test_verdicts_and_mean_final_bel_match_per_world_goals(domain_file, controller_file):
+    domain = load_domain(fixture_path(domain_file))
+    controller = load_controller(fixture_path(controller_file))
+
+    def outputs():
+        verdicts = [
+            verify_epistemic(controller, domain, mode, depth_bound=12)
+            for mode in ("existential", "adversarial")
+        ]
+        report = simulate(controller, domain, 300, step_cap=30, seed=5, track_belief=True)
+        return (
+            [(v.status, v.note) for v in verdicts],
+            (report.success_rate, report.mean_final_bel),
+        )
+
+    fast = outputs()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exec_epistemic, "eval_goal", eval_goal_per_world)
+        patch.setattr(montecarlo, "eval_goal", eval_goal_per_world)
+        assert outputs() == fast
 
 
 def test_tracing_tags_record_outcomes(treechop_noisyact):
