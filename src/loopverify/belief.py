@@ -28,7 +28,7 @@ from __future__ import annotations
 from .formulas import BELIEF_EPS, Comparison, eval_condition, walk
 from .theory import Domain, Reading, WorldState
 
-# decimal places key() rounds to unless told otherwise; cached per belief
+# decimal places key() rounds to; the key is cached per belief
 _KEY_PLACES = 9
 
 
@@ -93,21 +93,18 @@ class BeliefState:
             for world, weight in sorted(merged.items(), key=lambda kv: kv[0].key())
         ]
 
-    def key(self, places: int = _KEY_PLACES) -> tuple:
+    def key(self) -> tuple:
         """Hashable summary: worlds with normalized weights rounded to
-        `places` decimals; rounding merges numerically equal beliefs."""
-        if places == _KEY_PLACES and self._key is not None:
-            return self._key
-        total = self.total()
-        entries = []
-        for world, weight in sorted(self.merged().items(), key=lambda kv: kv[0].key()):
-            rounded = round(weight / total, places)
-            if rounded > 0.0:
-                entries.append((world.key(), rounded))
-        key = tuple(entries)
-        if places == _KEY_PLACES:
-            self._key = key
-        return key
+        `_KEY_PLACES` decimals; rounding merges numerically equal beliefs."""
+        if self._key is None:
+            total = self.total()
+            entries = []
+            for world, weight in sorted(self.merged().items(), key=lambda kv: kv[0].key()):
+                rounded = round(weight / total, _KEY_PLACES)
+                if rounded > 0.0:
+                    entries.append((world.key(), rounded))
+            self._key = tuple(entries)
+        return self._key
 
 
 def initial_belief(domain: Domain, tracing: bool = False) -> BeliefState:

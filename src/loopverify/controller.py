@@ -8,7 +8,7 @@ tokens. Controllers carry no other memory.
 
 from __future__ import annotations
 
-from .theory import read_json
+from .theory import read_json, read_name
 
 
 class ControllerError(ValueError):
@@ -105,14 +105,6 @@ def validate(controller: Controller, domain, strict: bool = False) -> list:
     return defects
 
 
-def _scalar(value, what: str):
-    """`value` if it is a string, a number or null; states, actions and
-    observations are compared and hashed, so lists and objects cannot be."""
-    if value is not None and not isinstance(value, (str, int, float)):
-        raise ControllerError(f"{what} must be a string or a number, not {value!r}")
-    return value
-
-
 def from_json_dict(data: dict) -> Controller:
     if not isinstance(data, dict):
         raise ControllerError("controller file must be a JSON object")
@@ -122,37 +114,47 @@ def from_json_dict(data: dict) -> Controller:
     states = data["states"]
     if not isinstance(states, list) or not states:
         raise ControllerError("states must be a nonempty list")
-    for state in states:
-        _scalar(state, "a state")
-    _scalar(data["initial"], "initial")
-    _scalar(data["final"], "final")
+    # a reference names the declared state of the same type and value, so
+    # 1.0 and true do not stand for 1
+    declared = {(type(s), read_name(s, ControllerError, "a state")): s for s in states}
+
+    def state(value, what: str):
+        found = declared.get((type(value), read_name(value, ControllerError, what)))
+        if found is None:
+            raise ControllerError(f"{what} {value!r} is not a declared state")
+        return found
+
+    initial = state(data["initial"], "initial state")
+    final = state(data["final"], "final state")
+    # JSON object keys are strings: an advice key names the string state
+    # it spells, else the number state written that way
+    spelled = {str(s): s for s in states if not isinstance(s, str)}
+    spelled.update((s, s) for s in states if isinstance(s, str))
     advice = data["advice"]
     if not isinstance(advice, dict):
         raise ControllerError("advice must be an object")
-    for state, action in advice.items():
-        _scalar(state, "an advice key")
-        _scalar(action, f"the advice for {state!r}")
+    resolved = {}
+    for key, action in advice.items():
+        if key not in spelled:
+            raise ControllerError(f"advice key {key!r} is not a declared state")
+        resolved[spelled[key]] = read_name(action, ControllerError, f"the advice for {key!r}")
     transitions = {}
     raw = data["transitions"]
     if not isinstance(raw, list):
         raise ControllerError("transitions must be a list of triples")
-    index = {}
-    if all(isinstance(s, int) for s in states):
-        index = {str(s): s for s in states}
     for entry in raw:
         if not isinstance(entry, list) or len(entry) != 3:
             raise ControllerError(f"bad transition entry: {entry!r}")
-        source, obs, target = (_scalar(part, "a transition entry") for part in entry)
-        if (source, str(obs)) in transitions:
+        source = state(entry[0], "transition source")
+        obs = str(read_name(entry[1], ControllerError, "a transition observation"))
+        if (source, obs) in transitions:
             raise ControllerError(f"duplicate transition for ({source!r}, {obs!r})")
-        transitions[(source, str(obs))] = target
-    # JSON object keys are strings; map them back for integer-state controllers
-    advice = {index.get(k, k): v for k, v in advice.items()}
+        transitions[(source, obs)] = state(entry[2], "transition target")
     return Controller(
         states=states,
-        initial=data["initial"],
-        final=data["final"],
-        advice=advice,
+        initial=initial,
+        final=final,
+        advice=resolved,
         transitions=transitions,
         name=str(data.get("name", "")),
     )

@@ -39,7 +39,7 @@ from .exec_exact import (
     _Search,
     successors,
 )
-from .theory import NULL_OBSERVATION, Domain, WorldState, read_json
+from .theory import NULL_OBSERVATION, Domain, WorldState, read_json, read_name
 
 
 class ScenarioError(ValueError):
@@ -76,19 +76,16 @@ def parse_scenario(data) -> list:
     for entry in data:
         if not isinstance(entry, dict) or "advised_action" not in entry:
             raise ScenarioError(f"bad scenario step: {entry!r}")
-        for name in ("advised_action", "actual_outcome", "reading"):
-            value = entry.get(name)
-            if value is None and name != "advised_action":
-                continue
-            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-                raise ScenarioError(
-                    f"bad scenario step: {name} must be a string or a number: {entry!r}"
-                )
-        reading = entry.get("reading")
+        action, outcome, reading = (
+            read_name(entry[key], ScenarioError, f"{key} of scenario step {len(steps)}")
+            if key == "advised_action" or entry.get(key) is not None
+            else None
+            for key in ("advised_action", "actual_outcome", "reading")
+        )
         steps.append(
             ScenarioStep(
-                action=str(entry["advised_action"]),
-                outcome=entry.get("actual_outcome"),
+                action=str(action),
+                outcome=outcome,
                 reading=None if reading is None else str(reading),
             )
         )

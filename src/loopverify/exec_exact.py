@@ -8,7 +8,7 @@ their successor worlds or the live readings and their likelihoods,
 comes from the domain's memo (`Domain._moves`), so each (advised
 action, world) pair is computed once per domain, whatever the number of
 checks, candidates or runs that step it. Whether the sensing is
-noise-free is also decided once per domain and kept in that memo.
+noise-free is decided once, when the domain is parsed.
 `_Search` is the one breadth-first search: the weak, threshold and
 termination checks here, both belief-level searches in exec_epistemic
 and the Monte Carlo chain build iterate it. With noise-free acting the
@@ -40,7 +40,7 @@ from typing import NamedTuple, Optional
 
 from .controller import Controller, validate
 from .formulas import eval_condition, has_belief_atoms
-from .theory import NULL_OBSERVATION, Domain, Reading, WorldState, _sensor_worlds
+from .theory import NULL_OBSERVATION, Domain, Reading, WorldState
 
 
 class VerifierInputError(ValueError):
@@ -80,33 +80,12 @@ def _require_objective_goal(domain: Domain) -> None:
 def _require_exact_sensing(domain: Domain) -> None:
     """Noise-free sensing: exactly one live reading everywhere.
 
-    Checked statically when the relevant state space is small; larger
-    spaces fall back to erroring at the first noisy expansion. The
-    answer depends on the domain alone, so it is worked out once and
-    kept in the domain's memo.
+    Checked statically, when the domain is parsed, where the relevant
+    state space is small; larger spaces fall back to erroring at the
+    first noisy expansion.
     """
-    defect = domain._memo.get("noisy_sensing")
-    if defect is None:
-        defect = domain._memo["noisy_sensing"] = _noisy_sensing(domain)
-    if defect:
-        raise VerifierInputError(defect)
-
-
-def _noisy_sensing(domain: Domain) -> str:
-    """Why the sensing is not noise-free, or "" when it is."""
-    for model in domain.sensing_models.values():
-        if model.is_gaussian:
-            return (
-                f"sensor of {model.action!r} reports continuous readings; "
-                "use the belief-level checker"
-            )
-        for world in _sensor_worlds(domain, model) or ():
-            if len(model.positive_readings(world)) != 1:
-                return (
-                    f"sensor of {model.action!r} is noisy at {world!r}; "
-                    "use the belief-level checker"
-                )
-    return ""
+    if domain._sensing_defect:
+        raise VerifierInputError(domain._sensing_defect)
 
 
 def _positive_worlds(domain: Domain) -> list:

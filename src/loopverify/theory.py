@@ -15,8 +15,7 @@ simulated run on the domain shares it:
 - belief progression and conditioning (`belief.py`), by (action,
   reading, exact belief contents), including the annihilated and
   impossible results, and whether an action is executable in every
-  world of a belief, by (action, exact belief contents);
-- whether the sensing is noise-free (`exec_exact.py`).
+  world of a belief, by (action, exact belief contents).
 
 Entries are never keyed on the rounded `BeliefState.key()`, and errors
 from the domain are never stored. A belief conditioned on a raw sampled
@@ -65,6 +64,15 @@ def read_json(source, error, what: str):
         raise error(f"{what} is not valid JSON: {exc}") from exc
 
 
+def read_name(value, error, what: str):
+    """`value` itself when it can be a name: a string or a finite number.
+    Names are hashed and compared, so a bool, null, list or object cannot
+    be one; those raise `error`, the input error class of the document."""
+    if not isinstance(value, str) and not _finite(value):
+        raise error(f"{what} must be a string or a number, not {value!r}")
+    return value
+
+
 def _finite(value) -> bool:
     """True for a JSON number that is finite; bools, NaN and infinities
     are rejected."""
@@ -89,22 +97,29 @@ def _list(value, what: str) -> list:
     return value
 
 
-def _name(value, what: str):
-    """`value` itself when it can be a name; names are hashed and
-    compared, so a list or an object cannot be one."""
-    if isinstance(value, (list, dict)):
-        raise DomainError(f"bad {what}: {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class FluentDecl:
     name: str
     kind: str  # "int" or "enum"
     values: tuple
+    _members: frozenset = field(init=False, repr=False, compare=False)
 
-    def contains(self, value) -> bool:
-        return value in self.values
+    def __post_init__(self):
+        object.__setattr__(self, "_members", frozenset(self.values))
+
+    def coerce(self, raw, clamp: bool = False):
+        """`raw` as a value of this fluent, or None when it is not one. An
+        integral float reads as its int and a bool is never a value;
+        `clamp` moves an integer past either end of the range onto it."""
+        if type(raw) is float and raw.is_integer():
+            raw = int(raw)
+        if clamp and type(raw) is int:
+            raw = min(max(raw, self.values[0]), self.values[-1])
+        # values are ints or strings; the type test also keeps out bools
+        # and the unhashable lists and objects of a JSON document
+        if type(raw) not in (int, str) or raw not in self._members:
+            return None
+        return raw
 
 
 class WorldState:
@@ -257,6 +272,7 @@ class Domain:
     goal_source: str = ""
     notes: str = ""
     _observation_order: tuple = field(default=(), repr=False)
+    _sensing_defect: str = field(default="", repr=False)  # why sensing is not noise-free
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def observations(self) -> tuple:
@@ -272,22 +288,7 @@ class Domain:
         act = self.actions[action]
         if not eval_condition(act.precondition, world):
             raise DomainError(f"{action} is not executable at {world!r}")
-        changes = {}
-        for effect in act.effects:
-            value = eval_value(effect.expr, world)
-            decl = self.fluents[effect.fluent]
-            if decl.kind == "int":
-                if isinstance(value, float):
-                    if not value.is_integer():
-                        raise DomainError(
-                            f"effect on {effect.fluent} produced non-integer {value!r}"
-                        )
-                    value = int(value)
-                if effect.clamp:
-                    value = min(max(value, decl.values[0]), decl.values[-1])
-            if not decl.contains(value):
-                raise DomainError(f"effect on {effect.fluent} left its domain: {value!r}")
-            changes[effect.fluent] = value
+        changes = _effect_changes(self.fluents, act, world)
         return world.updated(changes) if changes else world
 
     def outcomes_of(self, action: str, world: WorldState) -> list:
@@ -369,13 +370,15 @@ def parse_domain(data) -> Domain:
     except FormulaError as exc:
         raise DomainError(f"bad goal: {exc}") from exc
 
+    _check_effect_ranges(fluents, actions)
+    sensing_defect = _check_sensors(fluents, sensing)
     observation_order = [NULL_OBSERVATION]
     for model in sensing.values():
         for reading in model.readings:
             if reading.observation not in observation_order:
                 observation_order.append(reading.observation)
 
-    domain = Domain(
+    return Domain(
         name=str(data.get("name", "domain")),
         fluents=fluents,
         actions=actions,
@@ -386,10 +389,8 @@ def parse_domain(data) -> Domain:
         goal_source=goal_src,
         notes=str(data.get("notes", "")),
         _observation_order=tuple(observation_order),
+        _sensing_defect=sensing_defect,
     )
-    _check_effect_ranges(domain)
-    _check_sensor_coverage(domain)
-    return domain
 
 
 def load_domain(path) -> Domain:
@@ -399,20 +400,18 @@ def load_domain(path) -> Domain:
 
 def world_from_dict(domain: Domain, raw: dict) -> WorldState:
     """Validate a fluent->value mapping and intern it as a WorldState."""
-    if not isinstance(raw, dict):
-        raise DomainError("world must be an object mapping fluents to values")
-    if set(raw) != set(domain.fluents):
-        raise DomainError(
-            f"world must assign every fluent exactly once: {sorted(raw)!r}"
-        )
-    values = {}
-    for name, value in raw.items():
-        decl = domain.fluents[name]
-        if decl.kind == "int" and isinstance(value, float) and value.is_integer():
-            value = int(value)
-        if not decl.contains(value):
-            raise DomainError(f"value {value!r} not in domain of {name!r}")
-        values[name] = value
+    return _read_world(domain.fluents, raw, "world")
+
+
+def _read_world(fluents: dict, raw, what: str) -> WorldState:
+    """`raw` as a world when it is an object giving every fluent exactly
+    one value of that fluent."""
+    if not isinstance(raw, dict) or set(raw) != set(fluents):
+        raise DomainError(f"{what} must assign every fluent exactly once: {raw!r}")
+    values = {name: fluents[name].coerce(value) for name, value in raw.items()}
+    for name, value in values.items():
+        if value is None:
+            raise DomainError(f"{what} value {raw[name]!r} not in domain of {name!r}")
     return WorldState(values)
 
 
@@ -423,7 +422,7 @@ def _parse_fluents(raw) -> dict:
     for entry in raw:
         if not isinstance(entry, dict) or "name" not in entry:
             raise DomainError(f"bad fluent entry: {entry!r}")
-        name = _name(entry["name"], "fluent name")
+        name = read_name(entry["name"], DomainError, "fluent name")
         if name in fluents:
             raise DomainError(f"duplicate fluent {name!r}")
         if "range" in entry:
@@ -464,7 +463,7 @@ def _parse_actions(raw, fluents: dict) -> dict:
     for entry in raw:
         if not isinstance(entry, dict) or "name" not in entry:
             raise DomainError(f"bad action entry: {entry!r}")
-        name = _name(entry["name"], "action name")
+        name = read_name(entry["name"], DomainError, "action name")
         if name in actions:
             raise DomainError(f"duplicate action {name!r}")
         kind = entry.get("kind", "physical")
@@ -477,7 +476,9 @@ def _parse_actions(raw, fluents: dict) -> dict:
         effects = []
         targets = set()
         for eff in _list(entry.get("effects", []), f"effects of {name!r}"):
-            target = _name(_object(eff, "effect").get("fluent"), f"effect target of {name!r}")
+            target = read_name(
+                _object(eff, "effect").get("fluent"), DomainError, f"effect target of {name!r}"
+            )
             if target not in fluents:
                 raise DomainError(f"effect of {name!r} targets unknown fluent {target!r}")
             if target in targets:
@@ -487,7 +488,9 @@ def _parse_actions(raw, fluents: dict) -> dict:
                 expr = parse_value_expr(eff.get("value"), fluents)
             except FormulaError as exc:
                 raise DomainError(f"bad effect for {name!r}: {exc}") from exc
-            clamp = bool(eff.get("clamp", False))
+            clamp = eff.get("clamp", False)
+            if not isinstance(clamp, bool):
+                raise DomainError(f"clamp of {name!r} on {target!r} must be true or false")
             if clamp and fluents[target].kind != "int":
                 raise DomainError(f"clamp on non-integer fluent {target!r}")
             effects.append(Effect(target, expr, clamp))
@@ -502,7 +505,9 @@ def _parse_outcome_models(raw, actions: dict) -> dict:
         raise DomainError("outcome_models must be a list")
     models = {}
     for entry in raw:
-        intended = _name(_object(entry, "outcome model").get("intended"), "intended action")
+        intended = read_name(
+            _object(entry, "outcome model").get("intended"), DomainError, "intended action"
+        )
         if intended not in actions:
             raise DomainError(f"outcome model for unknown action {intended!r}")
         if intended in models:
@@ -515,7 +520,9 @@ def _parse_outcome_models(raw, actions: dict) -> dict:
         outcomes = []
         seen = set()
         for item in declared:
-            actual = _name(_object(item, "outcome").get("actual"), "outcome action")
+            actual = read_name(
+                _object(item, "outcome").get("actual"), DomainError, "outcome action"
+            )
             if actual not in actions:
                 raise DomainError(f"outcome of {intended!r} names unknown action {actual!r}")
             if actions[actual].kind != "physical":
@@ -546,7 +553,9 @@ def _parse_sensing_models(raw, fluents: dict, actions: dict) -> dict:
         raise DomainError("sensing_models must be a list")
     sensing = {}
     for entry in raw:
-        name = _name(_object(entry, "sensing model").get("action"), "sensing action")
+        name = read_name(
+            _object(entry, "sensing model").get("action"), DomainError, "sensing action"
+        )
         if name not in actions:
             raise DomainError(f"sensing model for unknown action {name!r}")
         if actions[name].kind != "sensing":
@@ -559,7 +568,7 @@ def _parse_sensing_models(raw, fluents: dict, actions: dict) -> dict:
         for item in _list(entry.get("readings", []), f"readings of {name!r}"):
             if "token" not in _object(item, "reading"):
                 raise DomainError(f"reading of {name!r} needs a token: {item!r}")
-            token = str(item["token"])
+            token = str(read_name(item["token"], DomainError, f"reading token of {name!r}"))
             if token == NULL_OBSERVATION:
                 raise DomainError(
                     f"reading token {NULL_OBSERVATION!r} is reserved for physical actions"
@@ -576,7 +585,8 @@ def _parse_sensing_models(raw, fluents: dict, actions: dict) -> dict:
                     value = float(len(readings))
             elif not _finite(value):
                 raise DomainError(f"bad value for reading {token!r} of {name!r}")
-            observation = str(item.get("observation", token))
+            observation = item.get("observation", token)
+            observation = str(read_name(observation, DomainError, f"observation of {token!r}"))
             if observation == NULL_OBSERVATION:
                 raise DomainError(
                     f"observation {NULL_OBSERVATION!r} is reserved for physical actions"
@@ -589,7 +599,9 @@ def _parse_sensing_models(raw, fluents: dict, actions: dict) -> dict:
             if "table" in entry:
                 raise DomainError(f"sensor of {name!r} mixes table and gaussian forms")
             gauss = _object(entry["gaussian"], "gaussian")
-            mean_fluent = _name(gauss.get("mean_fluent"), f"mean fluent of {name!r}")
+            mean_fluent = read_name(
+                gauss.get("mean_fluent"), DomainError, f"mean fluent of {name!r}"
+            )
             if mean_fluent not in fluents or fluents[mean_fluent].kind != "int":
                 raise DomainError(f"gaussian sensor of {name!r} needs an integer mean fluent")
             variance = gauss.get("variance")
@@ -641,17 +653,8 @@ def _parse_initial(raw, fluents: dict) -> tuple:
     seen = set()
     total = 0.0
     for entry in raw:
-        assignment = _object(entry, "initial world").get("state")
-        if not isinstance(assignment, dict):
-            raise DomainError(f"bad initial world entry: {entry!r}")
-        if set(assignment) != set(fluents):
-            raise DomainError(
-                f"initial world must assign every fluent exactly once: {assignment!r}"
-            )
-        for name, value in assignment.items():
-            if not fluents[name].contains(value):
-                raise DomainError(f"initial value {value!r} not in domain of {name!r}")
-        world = WorldState(assignment)
+        state = _object(entry, "initial world").get("state")
+        world = _read_world(fluents, state, "initial world")
         if world in seen:
             raise DomainError(f"duplicate initial world {world!r}")
         seen.add(world)
@@ -665,75 +668,81 @@ def _parse_initial(raw, fluents: dict) -> tuple:
     return tuple(worlds)
 
 
-def _small_assignments(domain: Domain, relevant: set):
+def _small_assignments(fluents: dict, relevant: set):
     """Worlds varying the `relevant` fluents, others padded; None if too many."""
     names = sorted(relevant)
     size = 1
     for name in names:
-        size *= len(domain.fluents[name].values)
+        size *= len(fluents[name].values)
     if size > _STATIC_CHECK_LIMIT:
         return None
-    others = {
-        n: domain.fluents[n].values[0] for n in domain.fluents if n not in relevant
-    }
-    pools = [domain.fluents[n].values for n in names]
+    others = {n: decl.values[0] for n, decl in fluents.items() if n not in relevant}
+    pools = [fluents[n].values for n in names]
     return [
         WorldState({**others, **dict(zip(names, combo))})
         for combo in itertools.product(*pools)
     ]
 
 
-def _check_effect_ranges(domain: Domain) -> None:
+def _effect_changes(fluents: dict, action: GroundAction, world: WorldState) -> dict:
+    """Fluent -> new value for each effect of `action` at `world`; an
+    effect whose value is not a value of its fluent raises DomainError."""
+    changes = {}
+    for effect in action.effects:
+        raw = eval_value(effect.expr, world)
+        value = changes[effect.fluent] = fluents[effect.fluent].coerce(raw, effect.clamp)
+        if value is None:
+            raise DomainError(
+                f"effect of {action.name!r} on {effect.fluent!r} leaves its domain "
+                f"(value {raw!r} at {world!r})"
+            )
+    return changes
+
+
+def _check_effect_ranges(fluents: dict, actions: dict) -> None:
     """Statically reject effects that can leave a fluent's domain.
 
     Enumerates assignments of the fluents each action reads or writes when
     that product is small; larger products defer to an apply-time error.
     """
-    for action in domain.actions.values():
+    for action in actions.values():
         if not action.effects:
             continue
         relevant = set(mentioned_fluents(action.precondition))
         for effect in action.effects:
             relevant |= set(mentioned_fluents(effect.expr))
             relevant.add(effect.fluent)
-        worlds = _small_assignments(domain, relevant)
-        if worlds is None:
+        for world in _small_assignments(fluents, relevant) or ():
+            if eval_condition(action.precondition, world):
+                _effect_changes(fluents, action, world)
+
+
+def _check_sensors(fluents: dict, sensing: dict) -> str:
+    """Why the sensing is not noise-free, or "" when it is: the first
+    continuous sensor or world with several live readings, in model
+    order. A table sensor must give some reading positive likelihood
+    everywhere. Both are checked on the worlds varying the fluents a
+    sensor's rows read, when there are few enough of them."""
+    defect = ""
+    for model in sensing.values():
+        if model.is_gaussian:  # densities are positive everywhere
+            defect = defect or (
+                f"sensor of {model.action!r} reports continuous readings; "
+                "use the belief-level checker"
+            )
             continue
-        for world in worlds:
-            if not eval_condition(action.precondition, world):
-                continue
-            for effect in action.effects:
-                value = eval_value(effect.expr, world)
-                decl = domain.fluents[effect.fluent]
-                if decl.kind == "int":
-                    if isinstance(value, float) and value.is_integer():
-                        value = int(value)
-                    if effect.clamp and isinstance(value, int):
-                        value = min(max(value, decl.values[0]), decl.values[-1])
-                if not decl.contains(value):
-                    raise DomainError(
-                        f"effect of {action.name!r} on {effect.fluent!r} can leave "
-                        f"its domain (value {value!r} at {world!r})"
-                    )
-
-
-def _sensor_worlds(domain: Domain, model: SensingModel):
-    """Worlds varying the fluents a table sensor's rows read, others
-    padded; None when there are too many to check statically."""
-    relevant = set()
-    for condition, _ in model.table:
-        relevant |= set(mentioned_fluents(condition))
-    return _small_assignments(domain, relevant)
-
-
-def _check_sensor_coverage(domain: Domain) -> None:
-    """Every sensing model must give some reading positive likelihood
-    everywhere (checked statically on small state spaces)."""
-    for model in domain.sensing_models.values():
-        if model.is_gaussian:
-            continue  # densities are positive everywhere
-        for world in _sensor_worlds(domain, model) or ():
-            if not model.positive_readings(world):
+        relevant = set()
+        for condition, _ in model.table:
+            relevant |= set(mentioned_fluents(condition))
+        for world in _small_assignments(fluents, relevant) or ():
+            live = len(model.positive_readings(world))
+            if not live:
                 raise DomainError(
                     f"sensor of {model.action!r} has no possible reading at {world!r}"
                 )
+            if live > 1 and not defect:
+                defect = (
+                    f"sensor of {model.action!r} is noisy at {world!r}; "
+                    "use the belief-level checker"
+                )
+    return defect

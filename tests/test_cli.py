@@ -154,6 +154,41 @@ def test_verify_unknown_criterion_lists_tokens(capsys):
         ("domain", ["actions", 0, "name"], {"name": "chop"}),
         ("domain", ["sensing_models", 0, "action"], {}),
         ("domain", ["actions", 0, "effects", 0, "fluent"], {}),
+        ("domain", ["actions", 0, "effects", 0, "clamp"], "false"),
+        (
+            "domain",
+            ["sensing_models", 0, "readings"],
+            [
+                {"token": "down", "observation": "down"},
+                {"token": "up", "observation": "up"},
+                {"token": "never", "observation": None},
+            ],
+        ),
+        (
+            "domain",
+            ["sensing_models", 0],
+            {
+                "action": "getd",
+                "readings": [{"token": None, "observation": "down"}, {"token": "up"}],
+                "table": [
+                    {"when": "(= d 0)", "likelihoods": {"None": 1.0}},
+                    {"when": "true", "likelihoods": {"up": 1.0}},
+                ],
+            },
+        ),
+        (
+            "domain",
+            ["actions"],
+            [
+                {
+                    "name": "chop",
+                    "precondition": "(>= d 1)",
+                    "effects": [{"fluent": "d", "value": "(- d 1)"}],
+                },
+                {"name": "getd", "kind": "sensing"},
+                {"name": True},
+            ],
+        ),
         # "down" is symbolic, so its value defaults to its ordinal, 0
         ("domain", ["sensing_models", 0, "readings", 1, "value"], 0),
         # "1" denotes 1.0 and "x", the second reading, gets the ordinal 1.0
@@ -200,6 +235,10 @@ def test_verify_unknown_criterion_lists_tokens(capsys):
         "action-name-object",
         "sensing-action-object",
         "effect-fluent-object",
+        "clamp-string",
+        "reading-observation-null",
+        "reading-token-null",
+        "action-name-bool",
         "reading-values-shared",
         "reading-default-values-shared",
         "scenario-outcome-list",
@@ -246,6 +285,10 @@ def test_malformed_domain_entries_exit_three(capsys, tmp_path, document, path, v
         (["transitions", 0, 1], ["0"]),
         (["transitions", 0, 2], [1]),
         (["transitions", 0, 2], 7),
+        (["transitions", 0, 2], True),
+        (["transitions", 0, 2], 1.0),
+        (["initial"], True),
+        (["advice", "7"], "chop"),
     ],
     ids=[
         "nested-state",
@@ -256,6 +299,10 @@ def test_malformed_domain_entries_exit_three(capsys, tmp_path, document, path, v
         "transition-observation-list",
         "transition-target-list",
         "transition-target-undeclared",
+        "transition-target-true",
+        "transition-target-float",
+        "initial-true",
+        "advice-key-undeclared",
     ],
 )
 def test_malformed_controller_entries_exit_three(capsys, tmp_path, path, value):
@@ -277,6 +324,70 @@ def test_malformed_controller_entries_exit_three(capsys, tmp_path, path, value):
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _two_wide_fluents(effect: str) -> dict:
+    """A domain whose chop reads and writes two 100-value fluents, too
+    many assignments for the parse-time range check of its effect."""
+    with open(fixture_path("treechop_exact.json")) as handle:
+        data = json.load(handle)
+    data["fluents"] = [{"name": "d", "range": [0, 99]}, {"name": "e", "range": [0, 99]}]
+    data["actions"][0].update(precondition="true", effects=[{"fluent": "d", "value": effect}])
+    data["initial"] = [{"state": {"d": 5, "e": 0}}]
+    return data
+
+
+@pytest.mark.parametrize(
+    "where, value, exit_code",
+    [
+        ("initial", True, 3),
+        ("initial", 2.5, 3),
+        ("initial", "1", 3),
+        ("initial", 1.0, 0),
+        ("real", True, 3),
+        ("real", 2.5, 3),
+        ("real", "1", 3),
+        ("real", 1.0, 0),
+        ("effect", "(- d 1)", 3),  # refused when the domain is parsed
+        ("wide-effect", "(- e 1)", 3),  # refused when chop runs at e = 0
+        ("wide-effect", "(* e 0)", 0),
+    ],
+)
+def test_every_way_a_fluent_value_enters(capsys, tmp_path, where, value, exit_code):
+    # a fluent value enters through an initial world, the --real world of
+    # `trace`, or an effect; each must be a declared value, and 1.0 reads as 1
+    name = "treechop_noisyact_bel.json" if where == "real" else "treechop_noisyact.json"
+    fixture = fixture_path(name)
+    with open(fixture) as handle:
+        data = json.load(handle)
+    if where == "initial":
+        data["initial"][0]["state"]["d"] = value
+    elif where == "effect":
+        data["actions"][0]["effects"] = [{"fluent": "d", "value": value}]  # no clamp
+    elif where == "wide-effect":
+        data = _two_wide_fluents(value)
+    domain = tmp_path / "domain.json"
+    domain.write_text(json.dumps(data))
+    fig1 = fixture_path("fig1.json")
+    if where == "real":
+        argv = [
+            "trace", str(domain), fig1, "--scenario", fixture_path("scenario_alpha.json"),
+            "--real", json.dumps({"d": value}), "--json",
+        ]
+    else:
+        argv = ["verify", str(domain), fig1, "--criterion", "def6", "--json"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == exit_code
+    if exit_code == 3:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    elif where != "wide-effect":
+        # the same bytes as the fixture read with the integer 1
+        argv[1] = fixture
+        if where == "real":
+            argv[argv.index("--real") + 1] = '{"d": 1}'
+        assert run_cli(capsys, *argv) == (code, out, err)
+        assert "1.0" not in out
 
 
 def test_directory_path_is_input_error(capsys, tmp_path):

@@ -296,6 +296,17 @@ def test_world_from_dict_validation():
     assert w["d"] == 1 and isinstance(w["d"], int)
 
 
+def test_fluent_values_are_declared_values():
+    domain = parse_domain(BASE)
+    d, material = domain.fluents["d"], domain.fluents["material"]
+    assert d.coerce(1.0) == 1 and type(d.coerce(1.0)) is int
+    for raw in (True, False, 2.5, "1", None, [1], 7):
+        assert d.coerce(raw) is None
+    assert d.coerce(7, clamp=True) == 3 and d.coerce(-2.0, clamp=True) == 0
+    assert d.coerce(2.5, clamp=True) is None and d.coerce(True, clamp=True) is None
+    assert material.coerce("wood") == "wood" and material.coerce(0) is None
+
+
 def test_sensor_coverage_checked():
     data = variant()
     data["sensing_models"][0]["table"] = [
