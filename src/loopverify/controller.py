@@ -156,7 +156,7 @@ def from_json_dict(data: dict) -> Controller:
         final=final,
         advice=resolved,
         transitions=transitions,
-        name=str(data.get("name", "")),
+        name=str(read_name(data.get("name", ""), ControllerError, "controller name")),
     )
 
 
@@ -200,6 +200,12 @@ def load_controller(path) -> Controller:
         return from_json_dict(read_json(handle, ControllerError, "controller file"))
 
 
+def _dot_string(text: str) -> str:
+    """`text` as a quoted DOT string: a backslash or double quote in a
+    name would otherwise end the string or start an escape."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(controller: Controller) -> str:
     """Deterministic GraphViz rendering; initial bold, final double-circled."""
     c = controller
@@ -209,7 +215,7 @@ def export_dot(controller: Controller) -> str:
         label = str(state)
         if state in c.advice:
             label = f"{state}: {c.advice[state]}"
-        attrs = [f'label="{label}"']
+        attrs = [f"label={_dot_string(label)}"]
         if state == c.final:
             attrs.append("shape=doublecircle")
         if state == c.initial:
@@ -219,7 +225,7 @@ def export_dot(controller: Controller) -> str:
         ((order[q], o, order[t]) for (q, o), t in c.transitions.items()),
     )
     for qi, obs, ti in edges:
-        lines.append(f'  n{qi} -> n{ti} [label="{obs}"];')
+        lines.append(f"  n{qi} -> n{ti} [label={_dot_string(obs)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

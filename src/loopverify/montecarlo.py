@@ -92,104 +92,116 @@ def _bel_target(domain: Domain):
     return domain.goal
 
 
+@dataclass
 class _Chain:
     """Finite Markov chain over reachable configs, plus one stuck sink.
+
+    Configs are numbered in discovery order and the sink comes last. Row
+    i of the (configs + 1) x fanout arrays `cums` and `targets` holds
+    config i's branches, in `successors` order: their cumulative
+    probabilities and their target indices, where fanout is the most
+    branches any config has. A shorter row is padded with cums 1.0 and
+    targets i. No uniform draw in [0, 1) reaches 1.0, so the sampler
+    never picks a pad, and a pad's probability, its step in `cums`, is
+    0. Final configs and the sink are all pad: they self-loop.
 
     A run steps into the sink from a non-final config with no branch or
     on a reading without a transition, so a dead end reached on the last
     allowed step still counts as truncated, as in scalar runs."""
 
-    def __init__(self, configs, kinds, cums, targets, init_indices, prior_cum):
-        self.configs = configs
-        self.kinds = kinds  # per config: "success" | "failure" | "stuck" | "step"
-        self.cums = cums  # per config: cumulative branch probabilities
-        self.targets = targets  # per config: branch target indices
-        self.init_indices = init_indices  # per positive prior world
-        self.prior_cum = prior_cum
+    kinds: np.ndarray  # per config: "success" | "failure" | "stuck" | "step"
+    cums: np.ndarray
+    targets: np.ndarray
+    init_indices: np.ndarray  # per positive prior world
+    prior_cum: np.ndarray
+
+    def fates(self, per_config: np.ndarray) -> tuple:
+        """Sums of `per_config` over the successful, the final, the stuck
+        and the unabsorbed configs."""
+        kinds = self.kinds
+        final = (kinds == "success") | (kinds == "failure")
+        return tuple(
+            per_config[mask].sum()
+            for mask in (kinds == "success", final, kinds == "stuck", kinds == "step")
+        )
 
 
 def build_chain(controller: Controller, domain: Domain) -> Optional[_Chain]:
     """The config-graph Markov chain, or None when the domain needs
-    belief tracking (continuous sensors or an epistemic goal)."""
+    belief tracking (continuous sensors or an epistemic goal).
+
+    One breadth-first pass calls `successors` once per config and keeps
+    the branches as the config's row."""
     if has_belief_atoms(domain.goal):
         return None
     if any(m.is_gaussian for m in domain.sensing_models.values()):
         return None
 
-    step = functools.partial(successors, controller, domain)
     worlds, prior_cum = _prior(domain)
-    search = _Search(
-        [Config(controller.initial, w) for w in worlds],
-        lambda cfg: [
-            (Config(b.target, b.world), b.action, b.observation)
-            for b in step(cfg.control, cfg.world)
-            if b.target is not None
-        ],
-    )
-    kinds = []
-    cums = []
-    rows = []  # next configs, None for the sink until every config is indexed
-    for cfg, _key, _depth, _successor_keys in search:
-        if cfg.control == controller.final:
-            kinds.append("success" if eval_condition(domain.goal, cfg.world) else "failure")
-            cums.append([1.0])
-            rows.append([cfg])
-            continue
-        branches = step(cfg.control, cfg.world)
-        kinds.append("step")
-        cums.append(_cumulative([b.likelihood for b in branches]) if branches else [1.0])
-        rows.append(
-            [None if b.target is None else Config(b.target, b.world) for b in branches]
-            or [None]
-        )
+    rows = []  # per config, in discovery order: its branches
 
-    configs = list(search.parent)  # discovery order, the order yielded
-    index = {cfg: i for i, cfg in enumerate(configs)}
-    sink = len(configs)
-    kinds.append("stuck")
-    cums.append([1.0])
-    targets = [[sink if t is None else index[t] for t in row] for row in rows] + [[sink]]
-    init_indices = [index[Config(controller.initial, w)] for w in worlds]
-    return _Chain(configs, kinds, cums, targets, init_indices, prior_cum)
+    def expand(cfg):
+        branches = successors(controller, domain, cfg.control, cfg.world)
+        rows.append(branches)
+        return [
+            (Config(b.target, b.world), b.action, b.observation)
+            for b in branches
+            if b.target is not None
+        ]
+
+    search = _Search([Config(controller.initial, w) for w in worlds], expand)
+    kinds = [
+        "step" if cfg.control != controller.final
+        else "success" if eval_condition(domain.goal, cfg.world)
+        else "failure"
+        for cfg, _key, _depth, _successor_keys in search
+    ] + ["stuck"]
+
+    index = {cfg: i for i, cfg in enumerate(search.parent)}  # discovery order
+    sink = len(index)
+    fanout = max(1, *map(len, rows))
+    cums = np.ones((sink + 1, fanout))
+    targets = np.repeat(np.arange(sink + 1)[:, None], fanout, axis=1)
+    for i, branches in enumerate(rows):
+        if branches:
+            cums[i, : len(branches)] = _cumulative([b.likelihood for b in branches])
+            targets[i, : len(branches)] = [
+                sink if b.target is None else index[Config(b.target, b.world)]
+                for b in branches
+            ]
+        elif kinds[i] == "step":
+            targets[i, 0] = sink  # a dead end
+    init_indices = np.array([index[Config(controller.initial, w)] for w in worlds])
+    return _Chain(np.array(kinds), cums, targets, init_indices, np.array(prior_cum))
 
 
 def absorption_probability(
     controller: Controller, domain: Domain, step_cap: int
 ) -> dict:
     """Exact probabilities of run fates within step_cap steps, by forward
-    weight propagation over the config chain."""
+    weight propagation over the config chain.
+
+    Each step scatter-adds every config's mass, split over its branch
+    probabilities, onto the branch targets: O(configs x fanout) time and
+    memory per step."""
     chain = build_chain(controller, domain)
     if chain is None:
         raise VerifierInputError(
             "exact absorption needs discrete sensing and an objective goal"
         )
     n = len(chain.kinds)
-    dist = np.zeros(n)
-    previous = 0.0
-    for idx, cum in zip(chain.init_indices, chain.prior_cum):
-        dist[idx] += cum - previous
-        previous = cum
-    matrix = np.zeros((n, n))
-    for i in range(n):
-        cum = chain.cums[i]
-        prev = 0.0
-        for edge, target in zip(cum, chain.targets[i]):
-            matrix[i, target] += edge - prev
-            prev = edge
+    dist = np.bincount(
+        chain.init_indices, weights=np.diff(chain.prior_cum, prepend=0.0), minlength=n
+    )
+    probs = np.diff(chain.cums, axis=1, prepend=0.0)
+    targets = chain.targets.ravel()
     for _step in range(step_cap):
-        moved = dist @ matrix
+        moved = np.bincount(targets, weights=(dist[:, None] * probs).ravel(), minlength=n)
         if np.array_equal(moved, dist):
-            break  # a fixed point: every later product is this one
+            break  # a fixed point: every later step gives this one
         dist = moved
-    kinds = np.array(chain.kinds)
-    return {
-        "success": float(dist[kinds == "success"].sum()),
-        "terminated": float(
-            dist[(kinds == "success") | (kinds == "failure")].sum()
-        ),
-        "stuck": float(dist[kinds == "stuck"].sum()),
-        "truncated": float(dist[kinds == "step"].sum()),
-    }
+    fates = map(float, chain.fates(dist))
+    return dict(zip(("success", "terminated", "stuck", "truncated"), fates))
 
 
 def simulate(
@@ -311,19 +323,9 @@ def _run_vectorized(chain: _Chain, uniforms: _Uniforms, runs: int):
     window, dropping absorbed runs at each window start and stopping once
     every run is absorbed. An absorbing config (success, failure, stuck)
     self-loops with probability 1, so its skipped steps change no count."""
-    fanout = max(len(c) for c in chain.cums)
     n = len(chain.kinds)
-    cum_matrix = np.full((n, fanout), 2.0)
-    target_matrix = np.zeros((n, fanout), dtype=np.int64)
-    for i in range(n):
-        cum_matrix[i, : len(chain.cums[i])] = chain.cums[i]
-        target_matrix[i, : len(chain.targets[i])] = chain.targets[i]
-        target_matrix[i, len(chain.targets[i]) :] = i
-    kinds = np.array(chain.kinds)
-    absorbed = kinds != "step"
-    init_targets = np.array(chain.init_indices, dtype=np.int64)
-    prior_cum = np.array(chain.prior_cum)
-
+    absorbed = chain.kinds != "step"
+    inits = chain.init_indices
     ends = np.zeros(n, dtype=np.int64)  # runs by the config they end in
     for first in range(0, runs, RUN_BLOCK):
         rows = np.arange(first, min(first + RUN_BLOCK, runs))
@@ -331,12 +333,12 @@ def _run_vectorized(chain: _Chain, uniforms: _Uniforms, runs: int):
             stop = min(start + WINDOW, uniforms.width)
             cells = uniforms.cells(rows, start, stop)
             if start == 0:
-                picks = np.searchsorted(prior_cum, cells[:, 0], side="right")
-                state = init_targets[np.minimum(picks, len(init_targets) - 1)]
+                picks = np.searchsorted(chain.prior_cum, cells[:, 0], side="right")
+                state = inits[np.minimum(picks, len(inits) - 1)]
             for column in range(max(start, 1), stop):
                 draw = cells[:, column - start]
-                choice = (draw[:, None] >= cum_matrix[state]).sum(axis=1)
-                state = target_matrix[state, choice]
+                choice = (draw[:, None] >= chain.cums[state]).sum(axis=1)
+                state = chain.targets[state, choice]
                 if absorbed[state].all():
                     break
             done = absorbed[state]
@@ -345,9 +347,7 @@ def _run_vectorized(chain: _Chain, uniforms: _Uniforms, runs: int):
             if not rows.size:
                 break
         ends += np.bincount(state, minlength=n)
-    successes = int(ends[kinds == "success"].sum())
-    terminated = successes + int(ends[kinds == "failure"].sum())
-    truncated = int(ends[kinds == "step"].sum())
+    successes, terminated, _stuck, truncated = map(int, chain.fates(ends))
     return successes, terminated, truncated
 
 

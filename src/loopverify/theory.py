@@ -378,8 +378,11 @@ def parse_domain(data) -> Domain:
             if reading.observation not in observation_order:
                 observation_order.append(reading.observation)
 
+    notes = data.get("notes", "")
+    if not isinstance(notes, str):
+        raise DomainError(f"notes must be a string, not {notes!r}")
     return Domain(
-        name=str(data.get("name", "domain")),
+        name=str(read_name(data.get("name", "domain"), DomainError, "domain name")),
         fluents=fluents,
         actions=actions,
         outcome_models=models,
@@ -387,7 +390,7 @@ def parse_domain(data) -> Domain:
         initial_worlds=worlds,
         goal=goal,
         goal_source=goal_src,
-        notes=str(data.get("notes", "")),
+        notes=notes,
         _observation_order=tuple(observation_order),
         _sensing_defect=sensing_defect,
     )
@@ -422,7 +425,10 @@ def _parse_fluents(raw) -> dict:
     for entry in raw:
         if not isinstance(entry, dict) or "name" not in entry:
             raise DomainError(f"bad fluent entry: {entry!r}")
-        name = read_name(entry["name"], DomainError, "fluent name")
+        name = entry["name"]
+        if not isinstance(name, str):
+            # a world assigns fluents by JSON object key, always a string
+            raise DomainError(f"fluent name must be a string, not {name!r}")
         if name in fluents:
             raise DomainError(f"duplicate fluent {name!r}")
         if "range" in entry:

@@ -201,6 +201,8 @@ def test_verify_unknown_criterion_lists_tokens(capsys):
                 "table": [{"when": "true", "likelihoods": {"1": 0.2, "x": 0.8}}],
             },
         ),
+        ("domain", ["name"], [1]),
+        ("domain", ["notes"], {"text": "x"}),
         ("scenario", [0, "actual_outcome"], [1]),
         ("scenario", [0, "actual_outcome"], {"actual": "chop"}),
         ("scenario", [0, "advised_action"], None),
@@ -241,6 +243,8 @@ def test_verify_unknown_criterion_lists_tokens(capsys):
         "action-name-bool",
         "reading-values-shared",
         "reading-default-values-shared",
+        "domain-name-list",
+        "notes-object",
         "scenario-outcome-list",
         "scenario-outcome-object",
         "scenario-action-null",
@@ -289,6 +293,7 @@ def test_malformed_domain_entries_exit_three(capsys, tmp_path, document, path, v
         (["transitions", 0, 2], 1.0),
         (["initial"], True),
         (["advice", "7"], "chop"),
+        (["name"], [1]),
     ],
     ids=[
         "nested-state",
@@ -303,6 +308,7 @@ def test_malformed_domain_entries_exit_three(capsys, tmp_path, document, path, v
         "transition-target-float",
         "initial-true",
         "advice-key-undeclared",
+        "name-list",
     ],
 )
 def test_malformed_controller_entries_exit_three(capsys, tmp_path, path, value):
@@ -617,6 +623,26 @@ def test_export_dot_and_json(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["initial"] == 0
+
+
+def test_export_dot_escapes_names(capsys, tmp_path):
+    # a quote would end a DOT string early, a final backslash escape its end
+    controller = tmp_path / "quoted.json"
+    controller.write_text(json.dumps({
+        "states": [0, "end\\"],
+        "initial": 0,
+        "final": "end\\",
+        "advice": {"0": 'say "hi"'},
+        "transitions": [[0, 'x"y', "end\\"]],
+    }))
+    code, out, _err = run_cli(capsys, "export", str(controller))
+    assert code == 0
+    assert out.splitlines()[3:] == [
+        '  n0 [label="0: say \\"hi\\"", style=bold];',
+        '  n1 [label="end\\\\", shape=doublecircle];',
+        '  n0 -> n1 [label="x\\"y"];',
+        "}",
+    ]
 
 
 def test_export_bad_controller_file(capsys, tmp_path):

@@ -10,12 +10,12 @@ import pytest
 
 import loopverify.montecarlo as mc
 from loopverify.controller import Controller
-from loopverify.exec_exact import VerifierInputError
+from loopverify.exec_exact import VerifierInputError, successors
 from loopverify.montecarlo import absorption_probability, default_step_cap, simulate
 from loopverify.theory import parse_domain
 
 from conftest import fixture_path
-from generators import noisy_sensing_domain
+from generators import noisy_sensing_domain, random_controller, random_population
 from oracles import absorption_by_dicts
 
 # chops in a self-loop from d=1: the run reaches a dead end (d=0, where
@@ -84,6 +84,54 @@ def test_absorption_matches_oracle(fig1, treechop_noisyact, treechop_metal):
             assert ours[key] == pytest.approx(ref[key], abs=1e-12)
 
 
+def random_chain_pairs():
+    """About 30 seeded (controller, domain) pairs that have a chain:
+    exact-sensing domains, some with acting noise, and noisy-sensing ones."""
+    rng = random.Random(47)
+    pairs = [(random_controller(rng, d, max_states=3), d) for d in random_population(46, 20)]
+    while len(pairs) < 30:
+        domain = parse_domain(noisy_sensing_domain(rng))
+        controller = random_controller(rng, domain, max_states=3)
+        if mc.build_chain(controller, domain) is not None:  # Gaussian sensing has none
+            pairs.append((controller, domain))
+    return pairs
+
+
+def test_chain_matches_the_oracle_and_the_scalar_runs_on_random_pairs(monkeypatch):
+    pairs = random_chain_pairs()
+    caps = (1, 2, 3, 5)
+    for controller, domain in pairs:
+        for cap in caps:
+            ours = absorption_probability(controller, domain, step_cap=cap)
+            ref = absorption_by_dicts(controller, domain, step_cap=cap)
+            for key in ("success", "terminated", "stuck"):
+                assert ours[key] == pytest.approx(ref[key], abs=1e-12)
+    cases = [(c, d, cap) for c, d in pairs for cap in caps]
+    fast = [simulate(c, d, runs=200, step_cap=cap, seed=5) for c, d, cap in cases]
+    monkeypatch.setattr(mc, "build_chain", lambda *_args: None)
+    for (c, d, cap), a in zip(cases, fast):
+        b = simulate(c, d, runs=200, step_cap=cap, seed=5)
+        assert (b.success_rate, b.termination_rate, b.truncated_rate) == (
+            a.success_rate,
+            a.termination_rate,
+            a.truncated_rate,
+        )
+
+
+def test_build_chain_expands_each_config_once(fig1, treechop_noisyact, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return successors(*args)
+
+    monkeypatch.setattr(mc, "successors", counted)
+    for controller, domain in [(fig1, treechop_noisyact)] + random_chain_pairs():
+        calls.clear()
+        chain = mc.build_chain(controller, domain)
+        assert len(calls) == len(chain.kinds) - 1  # every config but the sink
+
+
 def test_absorption_stops_at_an_exact_fixed_point(fig1, treechop_noisyact):
     # the chains settle at steps 698 and 906 of 2,000
     cap = 2000
@@ -95,20 +143,17 @@ def test_absorption_stops_at_an_exact_fixed_point(fig1, treechop_noisyact):
         for idx, cum in zip(chain.init_indices, chain.prior_cum):
             dist[idx] += cum - previous
             previous = cum
-        matrix = np.zeros((n, n))
-        for i in range(n):
-            prev = 0.0
-            for edge, target in zip(chain.cums[i], chain.targets[i]):
-                matrix[i, target] += edge - prev
-                prev = edge
+        probs = np.diff(chain.cums, axis=1, prepend=0.0)
         settled = None
         for step in range(cap):
-            moved = dist @ matrix
+            moved = np.bincount(
+                chain.targets.ravel(), weights=(dist[:, None] * probs).ravel(), minlength=n
+            )
             if settled is None and np.array_equal(moved, dist):
                 settled = step
             dist = moved
         assert settled is not None and settled < cap  # the early exit is taken
-        kinds = np.array(chain.kinds)
+        kinds = chain.kinds
         full = {
             "success": float(dist[kinds == "success"].sum()),
             "terminated": float(dist[(kinds == "success") | (kinds == "failure")].sum()),

@@ -279,6 +279,22 @@ def test_initial_validation():
         )
 
 
+def test_fluent_names_are_strings():
+    # a world's keys are JSON object keys, so a number could never be assigned
+    fluents = [{"name": 5, "range": [0, 3]}, {"name": "material", "values": ["wood"]}]
+    with pytest.raises(DomainError, match="fluent name must be a string, not 5"):
+        parse_domain(variant(fluents=fluents))
+
+
+def test_domain_name_and_notes():
+    domain = parse_domain(variant(name=7, notes="two worlds"))
+    assert (domain.name, domain.notes) == ("7", "two worlds")
+    with pytest.raises(DomainError, match="domain name must be a string or a number"):
+        parse_domain(variant(name=[1]))
+    with pytest.raises(DomainError, match="notes must be a string"):
+        parse_domain(variant(notes={"x": 1}))
+
+
 def test_goal_must_parse():
     with pytest.raises(DomainError):
         parse_domain(variant(goal="(= q 0)"))
