@@ -230,38 +230,6 @@ def export_dot(controller: Controller) -> str:
     return "\n".join(lines) + "\n"
 
 
-def canonical_key(controller: Controller, domain) -> tuple:
-    """Relabeling-invariant key: states renumbered by breadth-first
-    discovery from the initial state, scanning observations in domain
-    order. States unreachable through transitions are dropped, so two
-    controllers share a key exactly when their reachable parts are
-    identical up to renaming."""
-    c = controller
-    observations = domain.observations()
-    label = {c.initial: 0}
-    queue = [c.initial]
-    while queue:
-        state = queue.pop(0)
-        for obs in observations:
-            target = c.transitions.get((state, obs))
-            if target is not None and target not in label:
-                label[target] = len(label)
-                queue.append(target)
-    advice = tuple(
-        c.advice.get(state)
-        for state in sorted(label, key=label.get)
-    )
-    transitions = tuple(
-        sorted(
-            (label[q], o, label[t])
-            for (q, o), t in c.transitions.items()
-            if q in label and t in label
-        )
-    )
-    final = label.get(c.final)
-    return (len(label), final, advice, transitions)
-
-
 def enumerate_controllers(domain, max_states: int):
     """Yield every structurally valid controller over the domain's action
     and observation alphabets, up to `max_states` states, one representative

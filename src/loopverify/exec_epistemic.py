@@ -6,6 +6,11 @@ model and move the real world by the outcome that actually occurred;
 sensing steps condition the belief on the reading the real world
 produced. The controller branches on observation tokens as usual.
 
+One private step, `_step`, does this for scenario replay and for both
+searches: scenario replay takes the branch its scenario names, the
+searches every branch whose reading the belief allows. A live reading
+without a transition ends a run short of the final state.
+
 A plan is epistemically correct when, from every positive-weight initial
 world taken as the real one, execution reaches the final control state
 with the goal formula true at the resulting belief state. Two search
@@ -99,6 +104,33 @@ def _check_modes(poss_mode: str, real_mode: str) -> None:
         raise VerifierInputError(f"unknown real mode {real_mode!r}")
 
 
+def _step(controller, domain, control, real, belief, poss_mode, real_mode):
+    """The belief-level step from (control, real, belief). Returns the
+    branches of `successors` that `real_mode` allows and a function from
+    a branch to the next belief, which progresses once per physical step
+    and raises ObservationImpossible on a reading the belief rules out.
+    No advice, a failed `poss_mode` gate or an annihilated belief raises
+    ExecutionStuck."""
+    advised = controller.advice.get(control)
+    if advised is None:
+        raise ExecutionStuck(f"state {control!r} has no advice")
+    if poss_mode == "belief":
+        if not _poss_everywhere(domain, advised, belief):
+            raise ExecutionStuck(f"{advised!r} is inexecutable in some possible world")
+    elif not domain.poss(advised, real):
+        raise ExecutionStuck(f"{advised!r} is inexecutable at the real world")
+    branches = successors(controller, domain, control, real)
+    if real_mode == "intended":  # a sensing branch's action is the advised one
+        branches = [b for b in branches if b.action == advised]
+    if domain.actions[advised].kind != "physical":
+        return branches, lambda b: condition(belief, advised, b.reading, domain)
+    try:
+        progressed = progress(belief, advised, domain)
+    except BeliefAnnihilated as exc:
+        raise ExecutionStuck(str(exc)) from exc
+    return branches, lambda _b: progressed
+
+
 def step_belief(
     controller: Controller,
     domain: Domain,
@@ -122,23 +154,16 @@ def step_belief(
     _check_modes(poss_mode, real_mode)
     if cfg.control == controller.final:
         raise ScenarioError("scenario continues past the final state")
-    advised = controller.advice.get(cfg.control)
-    if advised is None:
-        raise ExecutionStuck(f"state {cfg.control!r} has no advice")
+    advised = controller.advice.get(cfg.control, step.action)  # none: _step is stuck
     if step.action != advised:
         raise ScenarioError(
             f"scenario advises {step.action!r} but the controller advises "
             f"{advised!r} at {cfg.control!r}"
         )
-    action = domain.actions[advised]
-    if poss_mode == "belief":
-        if not _poss_everywhere(domain, advised, cfg.belief):
-            raise ExecutionStuck(f"{advised!r} is inexecutable in some possible world")
-    elif not domain.poss(advised, cfg.real):
-        raise ExecutionStuck(f"{advised!r} is inexecutable at the real world")
-
-    branches = successors(controller, domain, cfg.control, cfg.real)
-    if action.kind == "physical":
+    branches, next_belief = _step(
+        controller, domain, cfg.control, cfg.real, cfg.belief, poss_mode, real_mode
+    )
+    if domain.actions[advised].kind == "physical":
         if step.reading is not None:
             raise ScenarioError(f"physical step {advised!r} cannot carry a reading")
         actual = step.outcome if step.outcome is not None else advised
@@ -157,10 +182,6 @@ def step_belief(
         branch = next((b for b in branches if b.action == actual), None)
         if branch is None and not domain.poss(actual, cfg.real):
             raise ScenarioError(f"outcome {actual!r} is inexecutable at the real world")
-        try:
-            belief = progress(cfg.belief, advised, domain)
-        except BeliefAnnihilated as exc:
-            raise ExecutionStuck(str(exc)) from exc
         obs = NULL_OBSERVATION
     else:
         if step.reading is None:
@@ -177,12 +198,13 @@ def step_belief(
             raise ScenarioError(
                 f"reading {step.reading!r} has zero likelihood at the real world"
             )
-        try:
-            belief = condition(cfg.belief, advised, reading, domain)
-        except ObservationImpossible as exc:
-            raise ScenarioError(str(exc)) from exc
         obs = reading.observation
 
+    if branch is not None:
+        try:
+            belief = next_belief(branch)
+        except ObservationImpossible as exc:
+            raise ScenarioError(str(exc)) from exc
     if branch is None or branch.target is None:
         raise ExecutionStuck(
             f"no transition from {cfg.control!r} on observation {obs!r}"
@@ -266,52 +288,32 @@ def run_scenario(
     )
 
 
-def _successors(
-    controller: Controller,
-    domain: Domain,
-    node: tuple,
-    poss_mode: str,
-    real_mode: str,
-):
-    """Positive-likelihood successor nodes of (control, real, belief key,
-    belief), none at the final state. Successors sharing a belief share
-    its key."""
+def _successors(controller, domain, node: tuple, poss_mode: str, real_mode: str):
+    """Successor nodes of (control, real, belief key, belief), none at the
+    final state or where the step is stuck. A reading the belief rules out
+    has none; a live one without a transition leads to a dead-end node
+    with control None. Successors sharing a belief share its key."""
     control, real, _belief_key, belief = node
     if control == controller.final:
         return []
-    advised = controller.advice.get(control)
-    if advised is None:
+    try:
+        branches, next_belief = _step(
+            controller, domain, control, real, belief, poss_mode, real_mode
+        )
+    except ExecutionStuck:
         return []
-    if poss_mode == "belief":
-        if not _poss_everywhere(domain, advised, belief):
-            return []
-    elif not domain.poss(advised, real):
-        return []
-    branches = successors(controller, domain, control, real)
-    if not branches:
-        return []
-    if domain.actions[advised].kind == "physical":
-        try:
-            next_belief = progress(belief, advised, domain)
-        except BeliefAnnihilated:
-            return []
-        next_key = next_belief.key()
-        return [
-            ((b.target, b.world, next_key, next_belief), b.action, NULL_OBSERVATION)
-            for b in branches
-            if real_mode != "intended" or b.action == advised
-        ]
     nodes = []
     for b in branches:
-        if b.target is None:
-            continue
         try:
-            next_belief = condition(belief, advised, b.reading, domain)
+            after = next_belief(b)
         except ObservationImpossible:
             continue
-        nodes.append(
-            ((b.target, real, next_belief.key(), next_belief), b.reading.token, b.observation)
-        )
+        nxt = (b.target, b.world, after.key(), after)
+        reading = b.reading
+        if reading is None:
+            nodes.append((nxt, b.action, NULL_OBSERVATION))
+        else:
+            nodes.append((nxt, reading.token, reading.observation))
     return nodes
 
 
@@ -352,8 +354,8 @@ def _search_adversarial(search: _Search, controller: Controller, domain: Domain)
         if control == controller.final:
             if not eval_goal(belief, domain.goal):
                 return "Fails"
-        elif successor_keys is None:
-            truncated = True
+        elif successor_keys is None and control is not None:
+            truncated = True  # a dead end (control None) fails even at the bound
         elif not successor_keys:
             return "Fails"
         edges[key] = successor_keys

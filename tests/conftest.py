@@ -17,6 +17,27 @@ def fixture_path(name: str) -> str:
     return os.path.join(FIXTURES, name)
 
 
+def look_domain_data() -> dict:
+    """x in 0..1, starting at x = 0; the sensing action `look` reads "lo"
+    or "hi" with 0.5 each wherever it is taken; the goal is true."""
+    return {
+        "fluents": [{"name": "x", "range": [0, 1]}],
+        "actions": [{"name": "look", "kind": "sensing"}],
+        "sensing_models": [
+            {
+                "action": "look",
+                "readings": [
+                    {"token": "lo", "observation": "lo"},
+                    {"token": "hi", "observation": "hi"},
+                ],
+                "table": [{"when": "true", "likelihoods": {"lo": 0.5, "hi": 0.5}}],
+            }
+        ],
+        "initial": [{"state": {"x": 0}, "weight": 1.0}],
+        "goal": "true",
+    }
+
+
 @pytest.fixture(scope="session")
 def treechop_exact():
     return load_domain(fixture_path("treechop_exact.json"))

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from loopverify.belief import bel, initial_belief, progress
-from loopverify.controller import canonical_key, to_json_dict
+from loopverify.controller import to_json_dict
 from loopverify.exec_epistemic import load_scenario, run_scenario, verify_epistemic
 from loopverify.exec_exact import (
     verify_exact,
@@ -28,7 +28,7 @@ from loopverify.theory import parse_domain, world_from_dict
 
 from conftest import fixture_path
 from generators import noisy_sensing_domain, random_controller, random_population
-from oracles import posterior_bel, posterior_paths
+from oracles import canonical_shape_of, posterior_bel, posterior_paths
 
 
 def report(line: str) -> None:
@@ -240,8 +240,9 @@ def test_criterion_11_synthesis_recovers_reference(fig1, treechop_exact):
     elapsed = time.perf_counter() - start
     assert result.found
     solution = result.solutions[0]
-    assert canonical_key(solution, treechop_exact) == canonical_key(
-        fig1, treechop_exact
+    observations = treechop_exact.observations()
+    assert canonical_shape_of(solution, observations) == canonical_shape_of(
+        fig1, observations
     )
     # behavioral equivalence: identical traces from every initial world
     ours = verify_exact(solution, treechop_exact)

@@ -6,7 +6,7 @@ import pytest
 import loopverify.synth as synth
 from loopverify.cli import main
 
-from conftest import FIXTURES, fixture_path
+from conftest import FIXTURES, fixture_path, look_domain_data
 
 STATUS_EXIT = {"Holds": 0, "Fails": 1, "Unknown": 2}
 
@@ -606,6 +606,24 @@ def test_synthesize_exit_one_when_empty(capsys):
     )
     assert code == 1
     assert json.loads(out)["found"] == 0
+
+
+def test_adversarial_def9_fails_on_a_reading_without_a_transition(capsys, tmp_path):
+    # `look` reads "lo" or "hi" with 0.5 each; the controller only moves on "lo"
+    domain = tmp_path / "look.json"
+    domain.write_text(json.dumps(look_domain_data()))
+    controller = tmp_path / "only_lo.json"
+    controller.write_text(json.dumps({
+        "states": [0, 1], "initial": 0, "final": 1,
+        "advice": {"0": "look"}, "transitions": [[0, "lo", 1]],
+    }))
+    argv = ["verify", str(domain), str(controller), "--json", "--criterion"]
+    code, out, _err = run_cli(capsys, *argv, "def9:adversarial")
+    assert code == 1
+    document = json.loads(out)
+    assert document["status"] == "Fails"
+    assert document["counterexample_world"] == {"x": 0}
+    assert run_cli(capsys, *argv, "def9")[0] == 0
 
 
 def test_export_dot_and_json(capsys, tmp_path):

@@ -5,7 +5,6 @@ import pytest
 from loopverify.controller import (
     Controller,
     ControllerError,
-    canonical_key,
     enumerate_controllers,
     export_dot,
     from_json_dict,
@@ -91,7 +90,8 @@ def test_load_controller_errors(tmp_path):
         load_controller(path)
 
 
-def test_canonical_key_ignores_state_names(fig1, treechop_exact):
+def test_canonical_shape_ignores_state_names(fig1, treechop_exact):
+    observations = treechop_exact.observations()
     renamed = Controller(
         states=["a", "b", "c"],
         initial="a",
@@ -99,10 +99,13 @@ def test_canonical_key_ignores_state_names(fig1, treechop_exact):
         advice={"a": "chop", "b": "getd"},
         transitions={("a", "0"): "b", ("b", "down"): "c", ("b", "up"): "a"},
     )
-    assert canonical_key(renamed, treechop_exact) == canonical_key(fig1, treechop_exact)
+    reference = canonical_shape_of(fig1, observations)
+    assert reference is not None  # every state is reachable
+    assert canonical_shape_of(renamed, observations) == reference
 
 
-def test_canonical_key_separates_behaviours(fig1, treechop_exact):
+def test_canonical_shape_separates_behaviours(fig1, treechop_exact):
+    observations = treechop_exact.observations()
     swapped = Controller(
         states=[0, 1, 2],
         initial=0,
@@ -110,7 +113,8 @@ def test_canonical_key_separates_behaviours(fig1, treechop_exact):
         advice={0: "chop", 1: "getd"},
         transitions={(0, "0"): 1, (1, "down"): 0, (1, "up"): 2},
     )
-    assert canonical_key(swapped, treechop_exact) != canonical_key(fig1, treechop_exact)
+    shape = canonical_shape_of(swapped, observations)
+    assert shape is not None and shape != canonical_shape_of(fig1, observations)
 
 
 def test_enumeration_counts_match_brute_force(treechop_exact):
@@ -119,11 +123,9 @@ def test_enumeration_counts_match_brute_force(treechop_exact):
     for bound, expected in ((1, 1), (2, 39), (3, 7459)):
         stream = list(enumerate_controllers(treechop_exact, bound))
         assert len(stream) == expected
-        keys = [canonical_key(c, treechop_exact) for c in stream]
-        assert len(set(keys)) == len(keys)  # no duplicates
-        oracle = all_controllers(actions, observations, bound)
-        ours = {canonical_shape_of(c, observations) for c in stream}
-        assert ours == oracle
+        shapes = [canonical_shape_of(c, observations) for c in stream]
+        assert len(set(shapes)) == len(shapes)  # no duplicates
+        assert set(shapes) == all_controllers(actions, observations, bound)
 
 
 def test_enumeration_is_deterministic(treechop_exact):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from loopverify.belief import bel, condition, initial_belief, progress
-from loopverify.controller import Controller
+from loopverify.controller import Controller, to_json_dict
 from loopverify.exec_epistemic import (
     EpistemicConfig,
     ExecutionStuck,
@@ -20,8 +20,9 @@ from loopverify.exec_exact import VerifierInputError
 from loopverify.formulas import parse_condition
 from loopverify.theory import parse_domain, world_from_dict
 
-from conftest import fixture_path
+from conftest import fixture_path, look_domain_data
 from generators import noisy_sensing_domain, random_controller
+from oracles import absorption_by_dicts
 
 
 def alpha_scenario():
@@ -359,3 +360,39 @@ def test_decided_verdicts_survive_a_deeper_bound():
                     assert deeper.status == status, (mode, bound)
                     decided[mode] += 1
     assert min(decided.values()) > 20
+
+
+def test_adversarial_fails_on_a_live_reading_without_a_transition():
+    # half the runs read "hi", where the controller has no transition: they
+    # stop short of the final state, as `trace` and `simulate` say too
+    domain = parse_domain(look_domain_data())
+    only_lo = Controller([0, 1], 0, 1, {0: "look"}, {(0, "lo"): 1})
+    x0 = world_from_dict(domain, {"x": 0})
+    for bound in (1, 64):  # the dead end lies at the bound in the first
+        verdict = verify_epistemic(only_lo, domain, "adversarial", bound)
+        assert (verdict.status, verdict.counterexample_world) == ("Fails", x0)
+    assert verify_epistemic(only_lo, domain, "existential").status == "Holds"
+    verdict, cfg = run_scenario(only_lo, domain, x0, [ScenarioStep("look", reading="hi")])
+    assert verdict.status == "Fails"
+    assert verdict.note == "no transition from 0 on observation 'hi'"
+    assert cfg.control == 0
+
+
+def test_adversarial_holds_agrees_with_absorption():
+    # every run of an adversarial Holds reaches the final state with the
+    # goal true, so the oracle's success mass within the bound is all of it
+    rng = random.Random(0)
+    holds = 0
+    for _ in range(400):
+        data = noisy_sensing_domain(rng)
+        domain = parse_domain(data)
+        controller = random_controller(rng, domain, max_states=4)
+        if "table" not in data["sensing_models"][0]:
+            continue
+        for poss_mode in ("belief", "real"):
+            verdict = verify_epistemic(controller, domain, "adversarial", 8, poss_mode)
+            if verdict.status == "Holds":
+                holds += 1
+                success = absorption_by_dicts(controller, domain, 8)["success"]
+                assert success >= 1.0 - 1e-9, (to_json_dict(controller), data)
+    assert holds > 50
