@@ -24,14 +24,11 @@ from .controller import (
     validate,
 )
 from .exec_epistemic import (
-    EpistemicConfig,
     ExecutionStuck,
     ScenarioError,
-    ScenarioStep,
     load_scenario,
     parse_scenario,
     run_scenario,
-    step_belief,
     verify_epistemic,
 )
 from .exec_exact import (
@@ -46,14 +43,8 @@ from .exec_exact import (
     verify_weight_threshold,
 )
 from .formulas import FormulaError, parse_condition, parse_objective
-from .montecarlo import SimReport, absorption_probability, default_step_cap, simulate
-from .synth import (
-    CriterionError,
-    SynthRequest,
-    SynthResult,
-    parse_criterion,
-    synthesize,
-)
+from .montecarlo import SimReport, absorption_probability, simulate
+from .synth import CriterionError, SynthResult, parse_criterion, synthesize
 from .theory import (
     NULL_OBSERVATION,
     Domain,
@@ -75,15 +66,12 @@ __all__ = [
     "CriterionError",
     "Domain",
     "DomainError",
-    "EpistemicConfig",
     "ExecutionStuck",
     "FormulaError",
     "NULL_OBSERVATION",
     "ObservationImpossible",
     "ScenarioError",
-    "ScenarioStep",
     "SimReport",
-    "SynthRequest",
     "SynthResult",
     "Verdict",
     "VerifierInputError",
@@ -91,7 +79,6 @@ __all__ = [
     "absorption_probability",
     "bel",
     "condition",
-    "default_step_cap",
     "enumerate_controllers",
     "eval_goal",
     "export_dot",
@@ -109,7 +96,6 @@ __all__ = [
     "progress",
     "run_scenario",
     "simulate",
-    "step_belief",
     "successors",
     "synthesize",
     "to_json_dict",

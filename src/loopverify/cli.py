@@ -30,7 +30,7 @@ from .controller import (
 from .exec_epistemic import ScenarioError, load_scenario, run_scenario
 from .exec_exact import Verdict, VerifierInputError
 from .montecarlo import simulate
-from .synth import CriterionError, SynthRequest, parse_criterion, synthesize
+from .synth import CriterionError, parse_criterion, synthesize
 from .theory import DomainError, load_domain, read_json, world_from_dict
 
 _EXIT = {"Holds": 0, "Fails": 1, "Unknown": 2}
@@ -297,16 +297,15 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_synthesize(args) -> int:
     domain = load_domain(args.domain)
-    request = SynthRequest(
-        domain=domain,
-        criterion=args.criterion,
-        max_states=args.max_states,
+    result = synthesize(
+        domain,
+        args.criterion,
+        args.max_states,
         limit=args.limit,
         depth_bound=args.depth_bound,
         poss_mode="real" if args.poss_at_real else "belief",
         real_mode="intended" if args.real_intended else "outcome",
     )
-    result = synthesize(request)
     documents = [to_json_dict(solution) for solution in result.solutions]
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)

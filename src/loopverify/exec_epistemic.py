@@ -7,9 +7,9 @@ sensing steps condition the belief on the reading the real world
 produced. The controller branches on observation tokens as usual.
 
 One private step, `_step`, does this for scenario replay and for both
-searches: scenario replay takes the branch its scenario names, the
-searches every branch whose reading the belief allows. A live reading
-without a transition ends a run short of the final state.
+searches: scenario replay (`_replay_step`) takes the branch its scenario
+names, the searches every branch whose reading the belief allows. A
+live reading without a transition ends a run short of the final state.
 
 A plan is epistemically correct when, from every positive-weight initial
 world taken as the real one, execution reaches the final control state
@@ -56,14 +56,14 @@ class ExecutionStuck(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ScenarioStep:
-    action: str  # the advised action this step expects
-    outcome: Optional[str] = None  # actual outcome, physical steps
+class _ScenarioStep:
+    action: object  # the advised action this step expects, as declared
+    outcome: object = None  # actual outcome, physical steps
     reading: Optional[str] = None  # declared reading token, sensing steps
 
 
 @dataclass
-class EpistemicConfig:
+class _BeliefConfig:
     control: object
     belief: BeliefState
     real: WorldState
@@ -88,11 +88,7 @@ def parse_scenario(data) -> list:
             for key in ("advised_action", "actual_outcome", "reading")
         )
         steps.append(
-            ScenarioStep(
-                action=str(action),
-                outcome=outcome,
-                reading=None if reading is None else str(reading),
-            )
+            _ScenarioStep(action, outcome, None if reading is None else str(reading))
         )
     return steps
 
@@ -131,31 +127,16 @@ def _step(controller, domain, control, real, belief, poss_mode, real_mode):
     return branches, lambda _b: progressed
 
 
-def step_belief(
-    controller: Controller,
-    domain: Domain,
-    cfg: EpistemicConfig,
-    step: ScenarioStep,
-    poss_mode: str = "belief",
-    real_mode: str = "outcome",
-):
-    """One scenario step; returns (next config, action, observation).
-
-    `poss_mode` picks where the advised action's precondition must hold:
-    "belief" requires it at every possible world, "real" only at the
-    designated real world. `real_mode` picks how the real world moves on
-    physical steps: "outcome" applies the scenario's actual outcome,
-    "intended" applies the advised action itself.
+def _replay_step(controller, domain, cfg, step, poss_mode, real_mode):
+    """One scenario step from a non-final config; returns (next config,
+    action, observation).
 
     Dead ends (inexecutable advice, undefined transition) raise
     ExecutionStuck; contradictions between the scenario and the domain
     raise ScenarioError.
     """
-    _check_modes(poss_mode, real_mode)
-    if cfg.control == controller.final:
-        raise ScenarioError("scenario continues past the final state")
     advised = controller.advice.get(cfg.control, step.action)  # none: _step is stuck
-    if step.action != advised:
+    if type(step.action) is not type(advised) or step.action != advised:
         raise ScenarioError(
             f"scenario advises {step.action!r} but the controller advises "
             f"{advised!r} at {cfg.control!r}"
@@ -184,6 +165,8 @@ def step_belief(
             raise ScenarioError(f"outcome {actual!r} is inexecutable at the real world")
         obs = NULL_OBSERVATION
     else:
+        if step.outcome is not None:
+            raise ScenarioError(f"sensing step {advised!r} cannot carry an outcome")
         if step.reading is None:
             raise ScenarioError(f"sensing step {advised!r} needs a reading")
         model = domain.sensing_models[advised]
@@ -209,7 +192,7 @@ def step_belief(
         raise ExecutionStuck(
             f"no transition from {cfg.control!r} on observation {obs!r}"
         )
-    return EpistemicConfig(branch.target, belief, branch.world), advised, obs
+    return _BeliefConfig(branch.target, belief, branch.world), advised, obs
 
 
 def run_scenario(
@@ -224,11 +207,18 @@ def run_scenario(
 ):
     """Replay a scenario from a designated real world.
 
-    Returns (Verdict, final EpistemicConfig). Holds iff the final control
-    state is reached within the scenario and the goal holds at the final
-    belief; running out of scenario steps is Unknown; dead ends are
-    Fails. `collect`, when given, receives per-step records
-    (control, action, observation, belief, real) for tracing output.
+    Returns (Verdict, final config with fields control, belief and real).
+    Holds iff the final control state is reached within the scenario and
+    the goal holds at the final belief; running out of scenario steps is
+    Unknown; dead ends are Fails. `collect`, when given, receives
+    per-step records (control, action, observation, belief, real) for
+    tracing output.
+
+    `poss_mode` picks where the advised action's precondition must hold:
+    "belief" requires it at every possible world, "real" only at the
+    designated real world. `real_mode` picks how the real world moves on
+    physical steps: "outcome" applies the scenario's actual outcome,
+    "intended" applies the advised action itself.
     """
     _check_modes(poss_mode, real_mode)
     _checked(controller, domain)
@@ -237,14 +227,14 @@ def run_scenario(
         raise VerifierInputError(
             f"designated real world {real0!r} has no positive prior weight"
         )
-    cfg = EpistemicConfig(controller.initial, initial_belief(domain, tracing), real0)
+    cfg = _BeliefConfig(controller.initial, initial_belief(domain, tracing), real0)
     trace = []
     consumed = 0
     for step in scenario:
         if cfg.control == controller.final:
             break
         try:
-            nxt, action, obs = step_belief(
+            nxt, action, obs = _replay_step(
                 controller, domain, cfg, step, poss_mode, real_mode
             )
         except ExecutionStuck as exc:

@@ -60,7 +60,7 @@ class SimReport:
     step_cap: int
 
 
-def default_step_cap(controller: Controller, domain: Domain) -> int:
+def _default_step_cap(controller: Controller, domain: Domain) -> int:
     return 10 * len(controller.states) * domain.world_space_size()
 
 
@@ -223,7 +223,7 @@ def simulate(
         raise VerifierInputError("runs must be at least 1")
     _checked(controller, domain)
     if step_cap is None:
-        step_cap = default_step_cap(controller, domain)
+        step_cap = _default_step_cap(controller, domain)
     if step_cap < 1:
         raise VerifierInputError("step_cap must be at least 1")
 

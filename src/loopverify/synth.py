@@ -10,9 +10,9 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
-from .controller import Controller, enumerate_controllers
+from .controller import enumerate_controllers
 from .exec_epistemic import verify_epistemic
 from .exec_exact import (
     Verdict,
@@ -85,6 +85,8 @@ def parse_criterion(
             raise CriterionError(
                 f"criterion {token!r} needs a numeric threshold"
             ) from None
+        if kappa != kappa:  # every comparison with NaN is false
+            raise CriterionError(f"criterion {token!r} has a NaN threshold")
         if kind == "weight":
             return token, lambda c, d: verify_weight_threshold(c, d, kappa)
         return token, lambda c, d: verify_goal_mass(c, d, kappa)
@@ -110,17 +112,6 @@ def parse_criterion(
 
 
 @dataclass
-class SynthRequest:
-    domain: Domain
-    criterion: str
-    max_states: int
-    limit: int = 1
-    depth_bound: int = 64
-    poss_mode: str = "belief"
-    real_mode: str = "outcome"
-
-
-@dataclass
 class SynthResult:
     criterion: str
     max_states: int
@@ -133,27 +124,30 @@ class SynthResult:
         return bool(self.solutions)
 
 
-def synthesize(request: SynthRequest) -> SynthResult:
+def synthesize(
+    domain: Domain,
+    criterion: str,
+    max_states: int,
+    limit: int = 1,
+    depth_bound: int = 64,
+    poss_mode: str = "belief",
+    real_mode: str = "outcome",
+) -> SynthResult:
     """Scan the canonical candidate stream and collect controllers whose
-    verdict is Holds, up to request.limit. Unknown never counts as a hit.
+    verdict is Holds, up to `limit`. Unknown never counts as a hit.
     """
-    if request.max_states < 1:
+    if max_states < 1:
         raise CriterionError("max_states must be at least 1")
-    if request.limit < 1:
+    if limit < 1:
         raise CriterionError("limit must be at least 1")
-    name, checker = parse_criterion(
-        request.criterion,
-        depth_bound=request.depth_bound,
-        poss_mode=request.poss_mode,
-        real_mode=request.real_mode,
-    )
-    result = SynthResult(criterion=name, max_states=request.max_states, searched=0)
-    for candidate in enumerate_controllers(request.domain, request.max_states):
+    name, checker = parse_criterion(criterion, depth_bound, poss_mode, real_mode)
+    result = SynthResult(criterion=name, max_states=max_states, searched=0)
+    for candidate in enumerate_controllers(domain, max_states):
         result.searched += 1
-        verdict = checker(candidate, request.domain)
+        verdict = checker(candidate, domain)
         if verdict.status == "Holds":
             result.solutions.append(candidate)
             result.verdicts.append(verdict)
-            if len(result.solutions) >= request.limit:
+            if len(result.solutions) >= limit:
                 break
     return result

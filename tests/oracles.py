@@ -87,6 +87,92 @@ def posterior_bel(domain: Domain, steps: list, condition) -> float:
     return matching / total
 
 
+def _goal_at_paths(domain: Domain, paths: list) -> bool:
+    """The goal at the belief the paths make up: objective parts at every
+    possible world, belief atoms by path summation."""
+    total = sum(wt for _hist, wt in paths)
+
+    def bel_fn(inner) -> float:
+        return sum(wt for hist, wt in paths if eval_condition(inner, hist[-1])) / total
+
+    return all(eval_condition(domain.goal, hist[-1], bel_fn) for hist, _wt in paths)
+
+
+def _run_fates(controller, domain: Domain, control, real, steps, depth, poss_mode):
+    """"success", "failure" or "cut" for every run that extends the run
+    which took `steps` to (control, real), up to `depth` steps."""
+    paths = posterior_paths(domain, steps)
+    if control == controller.final:
+        yield "success" if _goal_at_paths(domain, paths) else "failure"
+        return
+    if len(steps) == depth:
+        yield "cut"
+        return
+    advised = controller.advice.get(control)
+    gated = [hist[-1] for hist, _wt in paths] if poss_mode == "belief" else [real]
+    if advised is None or not all(domain.poss(advised, w) for w in gated):
+        yield "failure"
+        return
+    if domain.actions[advised].kind == "physical":
+        after = steps + [("act", advised)]
+        target = controller.transitions.get((control, "0"))
+        model = domain.outcome_models.get(advised)
+        options = [advised] if model is None else [
+            o.action for o in model.outcomes if o.likelihood > 0.0
+        ]
+        options = [a for a in options if domain.poss(a, real)]
+        if target is None or not options or not posterior_paths(domain, after):
+            yield "failure"  # no transition, no outcome, or no possible world left
+            return
+        for actual in options:
+            yield from _run_fates(
+                controller, domain, target, domain.apply(actual, real), after, depth,
+                poss_mode,
+            )
+        return
+    model = domain.sensing_models[advised]
+    live = [r for r in model.readings if sensor_likelihood(model, real, r.value) > 0.0]
+    if not domain.poss(advised, real) or not live:
+        yield "failure"
+        return
+    for reading in live:
+        after = steps + [("sense", advised, reading.value)]
+        if not posterior_paths(domain, after):
+            continue  # the belief rules this reading out: no run takes it
+        target = controller.transitions.get((control, reading.observation))
+        if target is None:
+            yield "failure"  # a live reading the controller cannot follow
+        else:
+            yield from _run_fates(controller, domain, target, real, after, depth, poss_mode)
+
+
+def def9_by_runs(controller, domain: Domain, mode: str, depth: int, poss_mode: str) -> str:
+    """def9 by enumerating every run of at most `depth` steps from each
+    positive-weight initial world taken as the real one. A run's belief is
+    `posterior_paths` of its steps, with no merging. A run fails at the
+    final state with the goal false, or where it stops short of it: no
+    advice, a failed poss gate (every possible world, or the real one), no
+    possible world left, no transition. Existential def9 holds at a world
+    when some run succeeds, adversarial when every run does; a run cut at
+    `depth` leaves a world undecided unless another run decides it."""
+    statuses = []
+    for real0, weight in domain.initial_worlds:
+        if weight <= 0.0:
+            continue
+        fates = set(
+            _run_fates(controller, domain, controller.initial, real0, [], depth, poss_mode)
+        )
+        undecided = "Unknown" if "cut" in fates else None
+        if mode == "existential":
+            statuses.append("Holds" if "success" in fates else undecided or "Fails")
+        else:
+            statuses.append("Fails" if "failure" in fates else undecided or "Holds")
+    for status in ("Fails", "Unknown"):
+        if status in statuses:
+            return status
+    return "Holds"
+
+
 def weak_from(controller, domain: Domain, world: WorldState) -> bool:
     """Whether some nature choice leads from `world` to the final state
     with the goal true. Recursive and memoized on (control, world)."""

@@ -23,7 +23,7 @@ from loopverify.exec_exact import (
 )
 from loopverify.formulas import parse_condition
 from loopverify.montecarlo import absorption_probability, simulate
-from loopverify.synth import SynthRequest, synthesize
+from loopverify.synth import synthesize
 from loopverify.theory import parse_domain, world_from_dict
 
 from conftest import fixture_path
@@ -234,9 +234,7 @@ def test_criterion_10_simulation_agrees_with_absorption(fig1, treechop_noisyact)
 
 def test_criterion_11_synthesis_recovers_reference(fig1, treechop_exact):
     start = time.perf_counter()
-    result = synthesize(
-        SynthRequest(domain=treechop_exact, criterion="def4", max_states=3)
-    )
+    result = synthesize(treechop_exact, "def4", max_states=3)
     elapsed = time.perf_counter() - start
     assert result.found
     solution = result.solutions[0]

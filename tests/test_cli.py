@@ -108,16 +108,28 @@ def test_verify_strict_rejects_partial_controller(capsys):
 
 
 def test_verify_unknown_criterion_lists_tokens(capsys):
-    code, _out, err = run_cli(
-        capsys,
-        "verify",
-        fixture_path("treechop_exact.json"),
-        fixture_path("fig1.json"),
-        "--criterion",
-        "def99",
-    )
-    assert code == 3
-    assert "def4" in err and "mass:" in err
+    # a bad criterion is an input error with one line of text. NaN is one:
+    # every comparison with it is false, so it would decide no world. The
+    # infinities are thresholds and keep their verdicts
+    domain, controller = fixture_path("treechop_metal.json"), fixture_path("fig1.json")
+    synth_argv = ["synthesize", domain, "--max-states", "1", "--criterion"]
+    for argv, expected, shown in (
+        (["verify", domain, controller, "--criterion", "def99"], 3, ("def4", "mass:")),
+        (["verify", domain, controller, "--criterion", "weight:nan"], 3, ("NaN",)),
+        (["verify", domain, controller, "--criterion", "mass:nan"], 3, ("NaN",)),
+        (synth_argv + ["weight:nan"], 3, ("NaN",)),
+        (synth_argv + ["mass:NaN"], 3, ("NaN",)),
+        (["verify", domain, controller, "--criterion", "weight:inf"], 0, ()),
+        (["verify", domain, controller, "--criterion", "weight:-inf"], 1, ()),
+        (["verify", domain, controller, "--criterion", "mass:inf"], 1, ()),
+        (["verify", domain, controller, "--criterion", "mass:-inf"], 0, ()),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == expected, argv
+        if expected == 3:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert all(text in err for text in shown), err
 
 
 @pytest.mark.parametrize(
@@ -473,6 +485,36 @@ def test_trace_scenario_alpha(capsys, tmp_path):
     assert len(document["steps"]) == 4
     final_belief = document["final"]["belief"]
     assert final_belief == [{"state": {"d": 0}, "weight": pytest.approx(0.09)}]
+
+
+def test_trace_names_a_numeric_action(capsys, tmp_path):
+    # the domain declares the action 7, a number, and so do the advice
+    # and the scenario
+    files = {
+        "domain": {
+            "fluents": [{"name": "x", "range": [0, 1]}],
+            "actions": [{"name": 7, "effects": [{"fluent": "x", "value": "1"}]}],
+            "initial": [{"state": {"x": 0}, "weight": 1.0}],
+            "goal": "(= x 1)",
+        },
+        "controller": {
+            "states": [0, 1], "initial": 0, "final": 1,
+            "advice": {"0": 7}, "transitions": [[0, "0", 1]],
+        },
+        "scenario": [{"advised_action": 7}],
+    }
+    for name, document in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(document))
+    argv = ["trace", str(tmp_path / "domain.json"), str(tmp_path / "controller.json"),
+            "--scenario", str(tmp_path / "scenario.json"), "--real", '{"x": 0}']
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "verdict: Holds" in out
+    # the string "7" names no declared action
+    (tmp_path / "scenario.json").write_text(json.dumps([{"advised_action": "7"}]))
+    code, _out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert err == "error: scenario advises '7' but the controller advises 7 at 0\n"
 
 
 def test_trace_json_mode(capsys):

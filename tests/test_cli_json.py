@@ -3,6 +3,9 @@ indent=2)` writes, for the private writer on generated values and for
 every command's output on the fixtures."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -190,3 +193,34 @@ def test_simulate_synthesize_and_export_json_are_canonical(capsys, tmp_path):
     code, out = run_cli(capsys, "export", fixture_path("fig4.json"), "--format", "json")
     assert code == 0
     assert_canonical(out)
+
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+
+
+def test_json_bytes_do_not_depend_on_the_hash_seed():
+    # equal inputs give byte-equal output, whatever order sets and dicts
+    # keyed by strings take under a different PYTHONHASHSEED
+    commands = [
+        ["verify", fixture_path("treechop_noisyact.json"), fixture_path("fig1.json"),
+         "--criterion", "def6"],
+        ["verify", fixture_path("treechop_noisyact_bel.json"), fixture_path("fig1.json"),
+         "--criterion", "def9"],
+        ["trace", fixture_path("treechop_noisyact_bel.json"), fixture_path("fig1.json"),
+         "--scenario", fixture_path("scenario_alpha.json"), "--real", '{"d": 1}',
+         "--trace-particles"],
+        ["synthesize", fixture_path("fig4_pickup.json"), "--criterion", "def9",
+         "--max-states", "2"],
+    ]
+    for argv in commands:
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-m", "loopverify.cli", *argv, "--json"],
+                stdout=subprocess.PIPE,
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": SRC},
+            )
+            for seed in ("0", "1")
+        ]
+        outputs = [child.communicate(timeout=60)[0] for child in children]
+        assert outputs[0], argv
+        assert outputs[0] == outputs[1], argv

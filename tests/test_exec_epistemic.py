@@ -1,19 +1,20 @@
 import json
 import random
+from itertools import product
 
 import pytest
 
 from loopverify.belief import bel, condition, initial_belief, progress
 from loopverify.controller import Controller, to_json_dict
 from loopverify.exec_epistemic import (
-    EpistemicConfig,
     ExecutionStuck,
     ScenarioError,
-    ScenarioStep,
+    _BeliefConfig,
+    _replay_step,
+    _ScenarioStep,
     load_scenario,
     parse_scenario,
     run_scenario,
-    step_belief,
     verify_epistemic,
 )
 from loopverify.exec_exact import VerifierInputError
@@ -22,11 +23,15 @@ from loopverify.theory import parse_domain, world_from_dict
 
 from conftest import fixture_path, look_domain_data
 from generators import noisy_sensing_domain, random_controller
-from oracles import absorption_by_dicts
+from oracles import absorption_by_dicts, def9_by_runs
 
 
 def alpha_scenario():
     return load_scenario(fixture_path("scenario_alpha.json"))
+
+
+def replay(controller, domain, cfg, step, poss_mode="belief", real_mode="outcome"):
+    return _replay_step(controller, domain, cfg, step, poss_mode, real_mode)
 
 
 def test_parse_scenario_shapes():
@@ -36,8 +41,10 @@ def test_parse_scenario_shapes():
             {"advised_action": "getd", "reading": "up"},
         ]
     )
-    assert steps[0] == ScenarioStep("chop", outcome="chop_noop")
-    assert steps[1] == ScenarioStep("getd", reading="up")
+    assert steps[0] == _ScenarioStep("chop", outcome="chop_noop")
+    assert steps[1] == _ScenarioStep("getd", reading="up")
+    # an action keeps its JSON type; a reading token is a string
+    assert parse_scenario([{"advised_action": 7, "reading": 1}]) == [_ScenarioStep(7, reading="1")]
     with pytest.raises(ScenarioError):
         parse_scenario({"advised_action": "chop"})
     with pytest.raises(ScenarioError):
@@ -109,38 +116,38 @@ def test_run_scenario_rejects_contradicting_reading(fig1, treechop_noisyact_bel)
 def test_run_scenario_notes_unused_steps(fig1, treechop_noisyact_bel):
     domain = treechop_noisyact_bel
     real0 = world_from_dict(domain, {"d": 1})
-    scenario = alpha_scenario() + [ScenarioStep("chop")]
+    scenario = alpha_scenario() + [_ScenarioStep("chop")]
     verdict, _cfg = run_scenario(fig1, domain, real0, scenario)
     assert verdict.status == "Holds"
     assert "unused" in verdict.note
 
 
-def test_step_belief_scenario_contradictions(fig1, treechop_noisyact_bel):
+def test_replay_step_scenario_contradictions(fig1, treechop_noisyact_bel):
     domain = treechop_noisyact_bel
     from loopverify.belief import initial_belief
 
-    cfg = EpistemicConfig(0, initial_belief(domain), world_from_dict(domain, {"d": 2}))
+    cfg = _BeliefConfig(0, initial_belief(domain), world_from_dict(domain, {"d": 2}))
     with pytest.raises(ScenarioError):  # advice mismatch
-        step_belief(fig1, domain, cfg, ScenarioStep("getd", reading="up"))
+        replay(fig1, domain, cfg, _ScenarioStep("getd", reading="up"))
     with pytest.raises(ScenarioError):  # not a declared outcome
-        step_belief(fig1, domain, cfg, ScenarioStep("chop", outcome="dance"))
+        replay(fig1, domain, cfg, _ScenarioStep("chop", outcome="dance"))
     with pytest.raises(ScenarioError):  # physical steps carry no reading
-        step_belief(fig1, domain, cfg, ScenarioStep("chop", reading="up"))
-    stepped, _a, _o = step_belief(fig1, domain, cfg, ScenarioStep("chop"))
+        replay(fig1, domain, cfg, _ScenarioStep("chop", reading="up"))
+    stepped, _a, _o = replay(fig1, domain, cfg, _ScenarioStep("chop"))
     with pytest.raises(ScenarioError):  # undeclared reading token
-        step_belief(fig1, domain, stepped, ScenarioStep("getd", reading="sideways"))
+        replay(fig1, domain, stepped, _ScenarioStep("getd", reading="sideways"))
 
 
-def test_step_belief_zero_likelihood_reading(fig1, treechop_exact):
+def test_replay_step_zero_likelihood_reading(fig1, treechop_exact):
     from loopverify.belief import initial_belief
 
-    cfg = EpistemicConfig(
+    cfg = _BeliefConfig(
         0, initial_belief(treechop_exact), world_from_dict(treechop_exact, {"d": 2})
     )
-    stepped, _a, _o = step_belief(fig1, treechop_exact, cfg, ScenarioStep("chop"))
+    stepped, _a, _o = replay(fig1, treechop_exact, cfg, _ScenarioStep("chop"))
     # real world now d=1, the exact sensor cannot report "down"
     with pytest.raises(ScenarioError):
-        step_belief(fig1, treechop_exact, stepped, ScenarioStep("getd", reading="down"))
+        replay(fig1, treechop_exact, stepped, _ScenarioStep("getd", reading="down"))
 
 
 def test_poss_mode_belief_vs_real(fig1, treechop_exact):
@@ -150,17 +157,17 @@ def test_poss_mode_belief_vs_real(fig1, treechop_exact):
     # condition on "down" is impossible at the prior; build belief at d=1
     # then chop so the belief contains d=0 while the real world is d=1
     b = initial_belief(domain)
-    cfg = EpistemicConfig(0, b, world_from_dict(domain, {"d": 2}))
-    cfg, _a, _o = step_belief(fig1, domain, cfg, ScenarioStep("chop"))
+    cfg = _BeliefConfig(0, b, world_from_dict(domain, {"d": 2}))
+    cfg, _a, _o = replay(fig1, domain, cfg, _ScenarioStep("chop"))
     assert cfg.control == 1
-    cfg = EpistemicConfig(0, cfg.belief, cfg.real)  # rewind control to advice=chop
+    cfg = _BeliefConfig(0, cfg.belief, cfg.real)  # rewind control to advice=chop
     # belief now includes d=0 where chop is inexecutable
     from loopverify.exec_epistemic import ExecutionStuck
 
     with pytest.raises(ExecutionStuck):
-        step_belief(fig1, domain, cfg, ScenarioStep("chop"), poss_mode="belief")
-    stepped, _a, _o = step_belief(
-        fig1, domain, cfg, ScenarioStep("chop"), poss_mode="real"
+        replay(fig1, domain, cfg, _ScenarioStep("chop"), poss_mode="belief")
+    stepped, _a, _o = replay(
+        fig1, domain, cfg, _ScenarioStep("chop"), poss_mode="real"
     )
     assert stepped.real == world_from_dict(domain, {"d": 0})
 
@@ -170,13 +177,13 @@ def test_real_mode_intended_ignores_actual(fig1, treechop_noisyact_bel):
     real0 = world_from_dict(domain, {"d": 1})
     from loopverify.belief import initial_belief
 
-    cfg = EpistemicConfig(0, initial_belief(domain), real0)
-    drifted, _a, _o = step_belief(
-        fig1, domain, cfg, ScenarioStep("chop", outcome="chop_noop")
+    cfg = _BeliefConfig(0, initial_belief(domain), real0)
+    drifted, _a, _o = replay(
+        fig1, domain, cfg, _ScenarioStep("chop", outcome="chop_noop")
     )
     assert drifted.real == real0  # noop left the tree alone
-    forced, _a, _o = step_belief(
-        fig1, domain, cfg, ScenarioStep("chop", outcome="chop_noop"),
+    forced, _a, _o = replay(
+        fig1, domain, cfg, _ScenarioStep("chop", outcome="chop_noop"),
         real_mode="intended",
     )
     assert forced.real == world_from_dict(domain, {"d": 0})
@@ -204,14 +211,11 @@ def test_epistemic_mode_validation(fig1, treechop_noisyact_bel):
     with pytest.raises(VerifierInputError):
         verify_epistemic(fig1, domain, depth_bound=-1)
     real0 = world_from_dict(domain, {"d": 1})
-    cfg = EpistemicConfig(0, initial_belief(domain), real0)
     for modes in ({"poss_mode": "bogus"}, {"real_mode": "bogus"}, {"poss_mode": "outcome"}):
         with pytest.raises(VerifierInputError, match="unknown"):
             verify_epistemic(fig1, domain, **modes)
         with pytest.raises(VerifierInputError, match="unknown"):
             run_scenario(fig1, domain, real0, alpha_scenario(), **modes)
-        with pytest.raises(VerifierInputError, match="unknown"):
-            step_belief(fig1, domain, cfg, ScenarioStep("chop"), **modes)
 
 
 def chop_domain(initial, goal, outcomes, extra_actions=()):
@@ -261,39 +265,39 @@ def test_poss_at_real_gates_only_the_real_world():
     assert (verdict.status, verdict.counterexample_world) == ("Fails", d2)
 
 
-def test_step_belief_dead_ends_and_contradictions(fig1, treechop_exact):
+def test_replay_step_dead_ends_and_contradictions(fig1, treechop_exact):
     domain = treechop_exact
     prior = initial_belief(domain)  # d = 1..10
 
     def at(d):
         return world_from_dict(domain, {"d": d})
 
-    chop, up = ScenarioStep("chop"), ScenarioStep("getd", reading="up")
+    chop, up = _ScenarioStep("chop"), _ScenarioStep("getd", reading="up")
     # chop then "down" leaves a belief holding only d = 0
     at_zero = condition(progress(prior, "chop", domain), "getd", "down", domain)
 
-    with pytest.raises(ScenarioError, match="past the final state"):
-        step_belief(fig1, domain, EpistemicConfig(2, prior, at(1)), chop)
     mute = Controller([0, 1, 2], 0, 2, {0: "chop"}, {(0, "0"): 1})
     with pytest.raises(ExecutionStuck, match="has no advice"):
-        step_belief(mute, domain, EpistemicConfig(1, prior, at(1)), up)
+        replay(mute, domain, _BeliefConfig(1, prior, at(1)), up)
     with pytest.raises(ExecutionStuck, match="inexecutable at the real world"):
-        step_belief(fig1, domain, EpistemicConfig(0, prior, at(0)), chop, poss_mode="real")
+        replay(fig1, domain, _BeliefConfig(0, prior, at(0)), chop, poss_mode="real")
     # gated at the real world d = 2, the chop kills every world of the belief
     with pytest.raises(ExecutionStuck, match="belief annihilated"):
-        step_belief(fig1, domain, EpistemicConfig(0, at_zero, at(2)), chop, poss_mode="real")
+        replay(fig1, domain, _BeliefConfig(0, at_zero, at(2)), chop, poss_mode="real")
     with pytest.raises(ScenarioError, match="needs a reading"):
-        step_belief(fig1, domain, EpistemicConfig(1, prior, at(2)), ScenarioStep("getd"))
+        replay(fig1, domain, _BeliefConfig(1, prior, at(2)), _ScenarioStep("getd"))
+    with pytest.raises(ScenarioError, match="sensing step 'getd' cannot carry an outcome"):
+        replay(fig1, domain, _BeliefConfig(1, prior, at(2)), _ScenarioStep("getd", "chop", "up"))
     # "up" is live at the real world d = 2 but impossible at the belief d = 0
     with pytest.raises(ScenarioError, match="impossible under current belief"):
-        step_belief(fig1, domain, EpistemicConfig(1, at_zero, at(2)), up)
+        replay(fig1, domain, _BeliefConfig(1, at_zero, at(2)), up)
     # fig1 less its "up" edge
     no_up = Controller([0, 1, 2], 0, 2, {0: "chop", 1: "getd"}, {(0, "0"): 1, (1, "down"): 2})
     with pytest.raises(ExecutionStuck, match="no transition from 1 on observation 'up'"):
-        step_belief(no_up, domain, EpistemicConfig(1, prior, at(2)), up)
+        replay(no_up, domain, _BeliefConfig(1, prior, at(2)), up)
 
 
-def test_step_belief_outcome_inexecutable_at_the_real_world():
+def test_replay_step_outcome_inexecutable_at_the_real_world():
     # slip is an outcome of chop that needs d >= 2, so it cannot occur at d = 1
     slip = {"name": "slip", "precondition": "(>= d 2)",
             "effects": [{"fluent": "d", "value": "(- d 2)"}]}
@@ -301,9 +305,9 @@ def test_step_belief_outcome_inexecutable_at_the_real_world():
         [1, 2], "true", [("chop", 0.8), ("chop_noop", 0.1), ("slip", 0.1)], [slip]
     )
     one_chop = Controller([0, 1], 0, 1, {0: "chop"}, {(0, "0"): 1})
-    cfg = EpistemicConfig(0, initial_belief(domain), world_from_dict(domain, {"d": 1}))
+    cfg = _BeliefConfig(0, initial_belief(domain), world_from_dict(domain, {"d": 1}))
     with pytest.raises(ScenarioError, match="outcome 'slip' is inexecutable at the real world"):
-        step_belief(one_chop, domain, cfg, ScenarioStep("chop", outcome="slip"))
+        replay(one_chop, domain, cfg, _ScenarioStep("chop", outcome="slip"))
 
 
 def test_run_scenario_fails_at_a_dead_end_and_on_a_false_goal(fig1, treechop_exact):
@@ -311,7 +315,7 @@ def test_run_scenario_fails_at_a_dead_end_and_on_a_false_goal(fig1, treechop_exa
     # second is inexecutable in some possible world
     loop = Controller([0, 1], 0, 1, {0: "chop"}, {(0, "0"): 0})
     d1 = world_from_dict(treechop_exact, {"d": 1})
-    verdict, cfg = run_scenario(loop, treechop_exact, d1, [ScenarioStep("chop")] * 3)
+    verdict, cfg = run_scenario(loop, treechop_exact, d1, [_ScenarioStep("chop")] * 3)
     assert verdict.status == "Fails"
     assert verdict.counterexample_world == d1
     assert "inexecutable in some possible world" in verdict.note
@@ -372,7 +376,7 @@ def test_adversarial_fails_on_a_live_reading_without_a_transition():
         verdict = verify_epistemic(only_lo, domain, "adversarial", bound)
         assert (verdict.status, verdict.counterexample_world) == ("Fails", x0)
     assert verify_epistemic(only_lo, domain, "existential").status == "Holds"
-    verdict, cfg = run_scenario(only_lo, domain, x0, [ScenarioStep("look", reading="hi")])
+    verdict, cfg = run_scenario(only_lo, domain, x0, [_ScenarioStep("look", reading="hi")])
     assert verdict.status == "Fails"
     assert verdict.note == "no transition from 0 on observation 'hi'"
     assert cfg.control == 0
@@ -396,3 +400,25 @@ def test_adversarial_holds_agrees_with_absorption():
                 success = absorption_by_dicts(controller, domain, 8)["success"]
                 assert success >= 1.0 - 1e-9, (to_json_dict(controller), data)
     assert holds > 50
+
+
+def test_def9_agrees_with_run_enumeration():
+    # the oracle enumerates every run up to the bound with exact beliefs:
+    # where both sides decide, they must agree. Among these pairs, two to
+    # four each contradict an engine that drops the poss gate at the belief
+    # or reads the goal at the real world instead of the belief
+    rng = random.Random(1)
+    decided = 0
+    for _ in range(300):
+        domain = parse_domain(noisy_sensing_domain(rng))
+        controller = random_controller(rng, domain, max_states=4)
+        for mode, poss_mode, bound in product(
+            ("existential", "adversarial"), ("belief", "real"), (1, 2, 3)
+        ):
+            engine = verify_epistemic(controller, domain, mode, bound, poss_mode).status
+            oracle = def9_by_runs(controller, domain, mode, bound, poss_mode)
+            assert {engine, oracle} != {"Holds", "Fails"}, (
+                mode, poss_mode, bound, engine, to_json_dict(controller)
+            )
+            decided += "Unknown" not in (engine, oracle)
+    assert decided > 50

@@ -11,7 +11,7 @@ import pytest
 import loopverify.montecarlo as mc
 from loopverify.controller import Controller
 from loopverify.exec_exact import VerifierInputError, successors
-from loopverify.montecarlo import absorption_probability, default_step_cap, simulate
+from loopverify.montecarlo import _default_step_cap, absorption_probability, simulate
 from loopverify.theory import parse_domain
 
 from conftest import fixture_path
@@ -348,7 +348,7 @@ def test_step_cap_validation(fig1, treechop_noisyact):
 
 
 def test_default_step_cap(fig1, treechop_exact):
-    assert default_step_cap(fig1, treechop_exact) == 10 * 3 * 11
+    assert _default_step_cap(fig1, treechop_exact) == 10 * 3 * 11
 
 
 def test_truncation_dominates_small_caps(fig1, treechop_noisyact):

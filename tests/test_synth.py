@@ -2,13 +2,7 @@ import pytest
 
 from loopverify.controller import to_json_dict
 from loopverify.exec_exact import verify_exact
-from loopverify.synth import (
-    CRITERIA,
-    CriterionError,
-    SynthRequest,
-    parse_criterion,
-    synthesize,
-)
+from loopverify.synth import CRITERIA, CriterionError, parse_criterion, synthesize
 
 
 def test_parse_criterion_tokens(fig1, treechop_exact, treechop_metal):
@@ -33,6 +27,8 @@ def test_parse_criterion_rejects_garbage():
         parse_criterion("weight:high")
     with pytest.raises(CriterionError):
         parse_criterion("mass:")
+    with pytest.raises(CriterionError, match="NaN"):
+        parse_criterion("weight:nan")
     with pytest.raises(CriterionError):
         parse_criterion("def9:paranoid")
 
@@ -45,8 +41,7 @@ def test_combined_criterion(fig1, treechop_noisyact, treechop_metal):
 
 
 def test_synthesis_recovers_reference_controller(treechop_exact, fig1):
-    request = SynthRequest(domain=treechop_exact, criterion="def4", max_states=3)
-    result = synthesize(request)
+    result = synthesize(treechop_exact, "def4", max_states=3)
     assert result.found
     assert len(result.solutions) == 1
     assert result.verdicts[0].status == "Holds"
@@ -58,8 +53,7 @@ def test_synthesis_recovers_reference_controller(treechop_exact, fig1):
 
 
 def test_synthesis_limit_collects_more(treechop_exact):
-    request = SynthRequest(domain=treechop_exact, criterion="def4", max_states=3, limit=3)
-    result = synthesize(request)
+    result = synthesize(treechop_exact, "def4", max_states=3, limit=3)
     assert len(result.solutions) == 3
     keys = {c.key() for c in result.solutions}
     assert len(keys) == 3
@@ -68,26 +62,22 @@ def test_synthesis_limit_collects_more(treechop_exact):
 
 
 def test_synthesis_no_solution_below_three_states(treechop_exact):
-    request = SynthRequest(domain=treechop_exact, criterion="def4", max_states=2)
-    result = synthesize(request)
+    result = synthesize(treechop_exact, "def4", max_states=2)
     assert not result.found
     assert result.solutions == []
     assert result.searched == 39  # every candidate with at most 2 states
 
 
 def test_synthesis_with_weak_criterion(treechop_metal):
-    request = SynthRequest(domain=treechop_metal, criterion="mass:0.7", max_states=3)
-    result = synthesize(request)
+    result = synthesize(treechop_metal, "mass:0.7", max_states=3)
     assert result.found
     assert result.verdicts[0].status == "Holds"
 
 
 def test_synthesis_epistemic_criterion(treechop_noisyact_bel):
-    request = SynthRequest(
-        domain=treechop_noisyact_bel, criterion="def9:existential", max_states=2,
-        depth_bound=16,
+    result = synthesize(
+        treechop_noisyact_bel, "def9:existential", max_states=2, depth_bound=16
     )
-    result = synthesize(request)
     # a two-state controller chops blindly into the goal belief
     assert result.found
     advice = result.solutions[0].advice
@@ -95,9 +85,7 @@ def test_synthesis_epistemic_criterion(treechop_noisyact_bel):
 
 
 def test_synth_result_reports_criterion(treechop_exact):
-    result = synthesize(
-        SynthRequest(domain=treechop_exact, criterion="termination", max_states=1)
-    )
+    result = synthesize(treechop_exact, "termination", max_states=1)
     assert result.criterion == "termination"
     assert result.max_states == 1
     # the trivial single-state controller terminates immediately
