@@ -127,6 +127,12 @@ def _step(controller, domain, control, real, belief, poss_mode, real_mode):
     return branches, lambda _b: progressed
 
 
+def _same_name(scenario_name, declared) -> bool:
+    """Whether a scenario names a declared action: by type and value, so
+    7.0 does not name the action 7."""
+    return type(scenario_name) is type(declared) and scenario_name == declared
+
+
 def _replay_step(controller, domain, cfg, step, poss_mode, real_mode):
     """One scenario step from a non-final config; returns (next config,
     action, observation).
@@ -136,7 +142,7 @@ def _replay_step(controller, domain, cfg, step, poss_mode, real_mode):
     raise ScenarioError.
     """
     advised = controller.advice.get(cfg.control, step.action)  # none: _step is stuck
-    if type(step.action) is not type(advised) or step.action != advised:
+    if not _same_name(step.action, advised):
         raise ScenarioError(
             f"scenario advises {step.action!r} but the controller advises "
             f"{advised!r} at {cfg.control!r}"
@@ -150,11 +156,11 @@ def _replay_step(controller, domain, cfg, step, poss_mode, real_mode):
         actual = step.outcome if step.outcome is not None else advised
         model = domain.outcome_models.get(advised)
         if model is None:
-            if actual != advised:
+            if not _same_name(actual, advised):
                 raise ScenarioError(
                     f"{advised!r} has no outcome model; outcome {actual!r} is impossible"
                 )
-        elif actual not in {o.action for o in model.positive()}:
+        elif not any(_same_name(actual, o.action) for o in model.positive()):
             raise ScenarioError(
                 f"{actual!r} is not a positive-likelihood outcome of {advised!r}"
             )

@@ -18,7 +18,9 @@ correctness criteria become reachability questions over the finite
 config graph:
 
 - verify_exact: every initial world's unique run ends at the final
-  control state with the goal true.
+  control state with the goal true. This is the weak check on a
+  deterministic domain, where each world has one run and the weak
+  search walks exactly it.
 - verify_weak: from every initial world some branch does.
 - verify_termination: every reachable config can still reach the final
   control state.
@@ -60,9 +62,6 @@ class Verdict:
     witnesses: list = field(default_factory=list)  # [(initial world, trace)]
     note: str = ""
 
-    def holds(self) -> bool:
-        return self.status == "Holds"
-
 
 def _checked(controller: Controller, domain: Domain) -> None:
     defects = validate(controller, domain)
@@ -86,10 +85,6 @@ def _require_exact_sensing(domain: Domain) -> None:
     """
     if domain._sensing_defect:
         raise VerifierInputError(domain._sensing_defect)
-
-
-def _positive_worlds(domain: Domain) -> list:
-    return [(w, wt) for w, wt in domain.initial_worlds if wt > 0.0]
 
 
 class Branch(NamedTuple):
@@ -236,67 +231,18 @@ def _expander(controller: Controller, domain: Domain):
     return expand
 
 
-def verify_exact(controller: Controller, domain: Domain) -> Verdict:
-    """Every positive-weight initial world's unique run must reach the
-    final state with the goal true there."""
-    _checked(controller, domain)
-    _require_objective_goal(domain)
-    _require_exact_sensing(domain)
-    if not domain.is_deterministic():
-        raise VerifierInputError(
-            "outcome models are nontrivial; use the outcome-branching criteria"
-        )
-    expand = _expander(controller, domain)
-    witnesses = []
-    for world, _weight in _positive_worlds(domain):
-        cfg = Config(controller.initial, world)
-        trace = []
-        visited = {cfg}
-        while True:
-            if cfg.control == controller.final:
-                if eval_condition(domain.goal, cfg.world):
-                    witnesses.append((world, trace))
-                    break
-                return Verdict(
-                    "Fails",
-                    witness=trace,
-                    counterexample_world=world,
-                    note="goal false at the final state",
-                )
-            steps = expand(cfg)
-            if not steps:
-                return Verdict(
-                    "Fails",
-                    witness=trace,
-                    counterexample_world=world,
-                    note="run is stuck before the final state",
-                )
-            nxt, action, obs = steps[0]
-            trace.append((cfg, action, obs))
-            if nxt in visited:
-                return Verdict(
-                    "Fails",
-                    witness=trace,
-                    counterexample_world=world,
-                    note="run revisits a configuration and diverges",
-                )
-            visited.add(nxt)
-            cfg = nxt
-    return Verdict("Holds", witnesses=witnesses)
-
-
 def _weak_trace(controller: Controller, domain: Domain, expand, world: WorldState):
     """Breadth-first search for one goal-reaching branch from `world`;
-    its trace, or None when there is none."""
+    its trace, or None when there is none, and the search."""
     search = _Search([Config(controller.initial, world)], expand)
     for cfg, _key, _depth, _successor_keys in search:
         if cfg.control == controller.final and eval_condition(domain.goal, cfg.world):
-            return search.trace(cfg)
-    return None
+            return search.trace(cfg), search
+    return None, search
 
 
 def _weak_per_world(controller: Controller, domain: Domain, cutoff: float):
-    """(world, weight, trace or None) for each initial world weighing
+    """(world, weight, trace or None, search) for each initial world weighing
     more than `cutoff`, in declared order and computed lazily, so a
     caller can stop at the first failure."""
     _checked(controller, domain)
@@ -304,7 +250,7 @@ def _weak_per_world(controller: Controller, domain: Domain, cutoff: float):
     _require_exact_sensing(domain)
     expand = _expander(controller, domain)
     return (
-        (world, weight, _weak_trace(controller, domain, expand, world))
+        (world, weight, *_weak_trace(controller, domain, expand, world))
         for world, weight in domain.initial_worlds
         if weight > cutoff
     )
@@ -314,11 +260,42 @@ def _weak_all(controller, domain, cutoff: float, note: str, failure: str) -> Ver
     """Holds when every initial world above `cutoff` has a goal-reaching
     branch; Fails at the first that has none."""
     witnesses = []
-    for world, _weight, trace in _weak_per_world(controller, domain, cutoff):
+    for world, _weight, trace, _search in _weak_per_world(controller, domain, cutoff):
         if trace is None:
             return Verdict("Fails", counterexample_world=world, note=failure)
         witnesses.append((world, trace))
     return Verdict("Holds", witnesses=witnesses, note=note)
+
+
+def verify_exact(controller: Controller, domain: Domain) -> Verdict:
+    """Every positive-weight initial world's unique run must reach the
+    final state with the goal true there.
+
+    The weak search on a deterministic domain: with exact sensing each
+    config has at most one step, so a search walks exactly the one run,
+    and its goal trace is the run. A run that misses the goal ends at
+    the config the search discovered last."""
+    runs = _weak_per_world(controller, domain, 0.0)
+    if not domain.is_deterministic():
+        raise VerifierInputError(
+            "outcome models are nontrivial; use the outcome-branching criteria"
+        )
+    witnesses = []
+    for world, _weight, trace, search in runs:
+        if trace is not None:
+            witnesses.append((world, trace))
+            continue
+        last = next(reversed(search.parent))
+        trace = search.trace(last)
+        if last.control == controller.final:
+            note = "goal false at the final state"
+        elif not (steps := search._expand(last)):
+            note = "run is stuck before the final state"
+        else:
+            trace.append((last, *steps[0][1:]))
+            note = "run revisits a configuration and diverges"
+        return Verdict("Fails", witness=trace, counterexample_world=world, note=note)
+    return Verdict("Holds", witnesses=witnesses)
 
 
 def verify_weak(controller: Controller, domain: Domain) -> Verdict:
@@ -332,7 +309,7 @@ def verify_termination(controller: Controller, domain: Domain) -> Verdict:
     _checked(controller, domain)
     _require_exact_sensing(domain)
     search = _Search(
-        [Config(controller.initial, world) for world, _weight in _positive_worlds(domain)],
+        [Config(controller.initial, w) for w, weight in domain.initial_worlds if weight > 0.0],
         functools.partial(_steps, controller, domain),  # one visit per config
     )
     reverse = {}
@@ -386,7 +363,7 @@ def verify_goal_mass(controller: Controller, domain: Domain, kappa: float) -> Ve
     passing = 0.0
     witnesses = []
     first_failure = None
-    for world, weight, trace in _weak_per_world(controller, domain, 0.0):
+    for world, weight, trace, _search in _weak_per_world(controller, domain, 0.0):
         if trace is not None:
             passing += weight
             witnesses.append((world, trace))

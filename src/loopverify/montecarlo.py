@@ -184,6 +184,9 @@ def absorption_probability(
     Each step scatter-adds every config's mass, split over its branch
     probabilities, onto the branch targets: O(configs x fanout) time and
     memory per step."""
+    _checked(controller, domain)
+    if step_cap < 1:
+        raise VerifierInputError("step_cap must be at least 1")
     chain = build_chain(controller, domain)
     if chain is None:
         raise VerifierInputError(

@@ -41,15 +41,15 @@ class CriterionError(ValueError):
     pass
 
 
-def _combined(first: Verdict, second: Verdict) -> Verdict:
-    for verdict in (first, second):
-        if verdict.status != "Holds":
-            return verdict
-    return Verdict(
-        status="Holds",
-        witnesses=first.witnesses or second.witnesses,
-        note="both criteria hold",
-    )
+def _weak_and_terminating(controller, domain: Domain) -> Verdict:
+    """def6, then termination only where def6 holds."""
+    weak = verify_weak(controller, domain)
+    if weak.status != "Holds":
+        return weak
+    termination = verify_termination(controller, domain)
+    if termination.status != "Holds":
+        return termination
+    return Verdict("Holds", witnesses=weak.witnesses, note="both criteria hold")
 
 
 def parse_criterion(
@@ -74,9 +74,7 @@ def parse_criterion(
     if token == "termination":
         return "termination", verify_termination
     if token == "def6+termination":
-        return "def6+termination", lambda c, d: _combined(
-            verify_weak(c, d), verify_termination(c, d)
-        )
+        return "def6+termination", _weak_and_terminating
     if token.startswith("weight:") or token.startswith("mass:"):
         kind, _, raw = token.partition(":")
         try:

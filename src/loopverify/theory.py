@@ -191,13 +191,11 @@ class Outcome:
 class OutcomeModel:
     """Distribution over which action occurs when `intended` is performed.
 
-    Likelihoods are normalized at parse time; `scale` records the factor
-    so unnormalized input files stay inspectable.
+    Likelihoods are normalized at parse time.
     """
 
     intended: str
     outcomes: tuple  # tuple[Outcome, ...], declared order
-    scale: float = 1.0
 
     def positive(self) -> tuple:
         return tuple(o for o in self.outcomes if o.likelihood > 0.0)
@@ -269,7 +267,6 @@ class Domain:
     sensing_models: dict  # sensing action name -> SensingModel
     initial_worlds: tuple  # tuple[(WorldState, float)], declared order
     goal: object  # goal formula AST (may contain belief atoms)
-    goal_source: str = ""
     notes: str = ""
     _observation_order: tuple = field(default=(), repr=False)
     _sensing_defect: str = field(default="", repr=False)  # why sensing is not noise-free
@@ -340,12 +337,6 @@ class Domain:
             size *= len(decl.values)
         return size
 
-    def enumerate_worlds(self):
-        names = list(self.fluents)
-        pools = [self.fluents[n].values for n in names]
-        for combo in itertools.product(*pools):
-            yield WorldState(dict(zip(names, combo)))
-
 
 def parse_domain(data) -> Domain:
     """Build a validated Domain from a JSON document (text or parsed)."""
@@ -389,7 +380,6 @@ def parse_domain(data) -> Domain:
         sensing_models=sensing,
         initial_worlds=worlds,
         goal=goal,
-        goal_source=goal_src,
         notes=notes,
         _observation_order=tuple(observation_order),
         _sensing_defect=sensing_defect,
@@ -545,12 +535,10 @@ def _parse_outcome_models(raw, actions: dict) -> dict:
         total = sum(o.likelihood for o in outcomes)
         if total <= 0.0:
             raise DomainError(f"outcome model of {intended!r} has zero total weight")
-        scale = 1.0
         if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
             # constant positive factors do not change the distribution
-            scale = total
             outcomes = [Outcome(o.action, o.likelihood / total) for o in outcomes]
-        models[intended] = OutcomeModel(intended, tuple(outcomes), scale)
+        models[intended] = OutcomeModel(intended, tuple(outcomes))
     return models
 
 

@@ -488,12 +488,20 @@ def test_trace_scenario_alpha(capsys, tmp_path):
 
 
 def test_trace_names_a_numeric_action(capsys, tmp_path):
-    # the domain declares the action 7, a number, and so do the advice
-    # and the scenario
+    # the domain declares the action 7, a number, with the outcomes 7 and
+    # 8, and so do the advice and the scenario
     files = {
         "domain": {
             "fluents": [{"name": "x", "range": [0, 1]}],
-            "actions": [{"name": 7, "effects": [{"fluent": "x", "value": "1"}]}],
+            "actions": [
+                {"name": name, "effects": [{"fluent": "x", "value": "1"}]}
+                for name in (7, 8)
+            ],
+            "outcome_models": [
+                {"intended": 7, "outcomes": [
+                    {"actual": 7, "likelihood": 0.5}, {"actual": 8, "likelihood": 0.5},
+                ]},
+            ],
             "initial": [{"state": {"x": 0}, "weight": 1.0}],
             "goal": "(= x 1)",
         },
@@ -515,6 +523,19 @@ def test_trace_names_a_numeric_action(capsys, tmp_path):
     code, _out, err = run_cli(capsys, *argv)
     assert code == 3
     assert err == "error: scenario advises '7' but the controller advises 7 at 0\n"
+    # an outcome is matched by type and value too
+    (tmp_path / "scenario.json").write_text(
+        json.dumps([{"advised_action": 7, "actual_outcome": 8}])
+    )
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "verdict: Holds" in out
+    (tmp_path / "scenario.json").write_text(
+        json.dumps([{"advised_action": 7, "actual_outcome": 8.0}])
+    )
+    code, _out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert err == "error: 8.0 is not a positive-likelihood outcome of 7\n"
 
 
 def test_trace_json_mode(capsys):

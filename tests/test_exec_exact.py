@@ -46,6 +46,25 @@ def assert_witnesses_replay(controller, domain, verdict):
         assert eval_condition(domain.goal, current)
 
 
+def assert_failure_replays(controller, domain, verdict):
+    """Replay a def4 Fails witness from its counterexample world; the run
+    must end where the note says: at the final state with the goal false,
+    stuck at a config without a branch, or on a config it met before."""
+    assert verdict.status == "Fails"
+    control, current = replay(controller, domain, verdict.counterexample_world, verdict.witness)
+    if verdict.note == "goal false at the final state":
+        assert control == controller.final
+        assert not eval_condition(domain.goal, current)
+    elif verdict.note == "run is stuck before the final state":
+        assert control != controller.final
+        assert branches(controller, domain, control, current) == []
+    else:
+        assert verdict.note == "run revisits a configuration and diverges"
+        earlier = [(cfg.control, cfg.world) for cfg, _action, _obs in verdict.witness]
+        assert (control, current) in earlier
+    return verdict.note
+
+
 def test_exact_holds_on_fixture(fig1, treechop_exact):
     verdict = verify_exact(fig1, treechop_exact)
     assert verdict.status == "Holds"
@@ -91,6 +110,7 @@ def test_exact_detects_divergence(treechop_exact):
     assert "revisits" in verdict.note
     assert verdict.counterexample_world is not None
     assert verdict.counterexample_world["d"] >= 1
+    assert_failure_replays(spinner, treechop_exact, verdict)
 
 
 def test_exact_detects_stuck_runs(treechop_exact):
@@ -106,6 +126,7 @@ def test_exact_detects_stuck_runs(treechop_exact):
     assert verdict.status == "Fails"
     assert "stuck" in verdict.note
     assert verdict.counterexample_world["d"] == 1
+    assert_failure_replays(blind, treechop_exact, verdict)
 
 
 def test_exact_detects_goal_failure(treechop_exact):
@@ -120,6 +141,7 @@ def test_exact_detects_goal_failure(treechop_exact):
     verdict = verify_exact(one_shot, treechop_exact)
     assert verdict.status == "Fails"
     assert "goal false" in verdict.note
+    assert_failure_replays(one_shot, treechop_exact, verdict)
 
 
 def test_weak_holds_under_outcome_branching(fig1, treechop_noisyact):
@@ -324,6 +346,22 @@ def test_witnesses_replay_on_random_pairs():
                 assert_witnesses_replay(controller, domain, verdict)
                 replayed += len(verdict.witnesses)
     assert replayed > 0
+
+
+def test_exact_failures_replay_on_random_deterministic_pairs():
+    rng = random.Random(717)
+    notes = []
+    for domain in random_population(717, 150, allow_noise=False):
+        controller = random_controller(rng, domain, max_states=4)
+        try:
+            verdict = verify_exact(controller, domain)
+        except VerifierInputError:
+            continue  # noisy sensing
+        if verdict.status == "Holds":
+            assert_witnesses_replay(controller, domain, verdict)
+        else:
+            notes.append(assert_failure_replays(controller, domain, verdict))
+    assert len(set(notes)) == 3  # every way a run can fail
 
 
 def test_weak_agrees_with_oracle_on_random_pairs():

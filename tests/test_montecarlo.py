@@ -192,6 +192,23 @@ def test_absorption_rejects_gaussian_sensing(fig3, treechop_noisy):
         absorption_probability(fig3, treechop_noisy, step_cap=10)
 
 
+def test_absorption_checks_its_inputs_like_simulate(fig1, treechop_noisyact):
+    nosuch = Controller([0, 1], 0, 1, {0: "nosuch"}, {(0, "0"): 1})
+    for run in (
+        lambda: simulate(nosuch, treechop_noisyact, runs=10, step_cap=10),
+        lambda: absorption_probability(nosuch, treechop_noisyact, step_cap=10),
+    ):
+        with pytest.raises(VerifierInputError, match="controller is invalid"):
+            run()
+    for cap in (0, -3):
+        for run in (
+            lambda: simulate(fig1, treechop_noisyact, runs=10, step_cap=cap),
+            lambda: absorption_probability(fig1, treechop_noisyact, step_cap=cap),
+        ):
+            with pytest.raises(VerifierInputError, match="^step_cap must be at least 1$"):
+                run()
+
+
 def test_scalar_and_vectorized_paths_agree(
     fig1, treechop_noisyact, treechop_metal, monkeypatch
 ):

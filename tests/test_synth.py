@@ -1,5 +1,6 @@
 import pytest
 
+from loopverify import synth
 from loopverify.controller import to_json_dict
 from loopverify.exec_exact import verify_exact
 from loopverify.synth import CRITERIA, CriterionError, parse_criterion, synthesize
@@ -38,6 +39,19 @@ def test_combined_criterion(fig1, treechop_noisyact, treechop_metal):
     assert check(fig1, treechop_noisyact).status == "Holds"
     # metal fails both halves; the combination fails
     assert check(fig1, treechop_metal).status == "Fails"
+
+
+def test_combined_criterion_checks_termination_only_where_def6_holds(
+    fig1, treechop_metal, monkeypatch
+):
+    def no_termination(_controller, _domain):
+        raise AssertionError("termination checked although def6 fails")
+
+    monkeypatch.setattr(synth, "verify_termination", no_termination)
+    _name, check = parse_criterion("def6+termination")
+    verdict = check(fig1, treechop_metal)
+    assert verdict.status == "Fails"
+    assert verdict.note == "no outcome branch reaches the goal"
 
 
 def test_synthesis_recovers_reference_controller(treechop_exact, fig1):

@@ -70,7 +70,6 @@ def test_parse_and_enumerate():
     domain = parse_domain(BASE)
     assert domain.name == "probe"
     assert domain.world_space_size() == 8
-    assert len(list(domain.enumerate_worlds())) == 8
     assert domain.observations() == (NULL_OBSERVATION, "down", "up")
     assert domain.is_deterministic()
 
@@ -105,7 +104,7 @@ def test_unclamped_out_of_range_rejected_statically():
         parse_domain(data)
 
 
-def test_outcome_model_normalizes_and_keeps_scale():
+def test_outcome_model_normalizes():
     data = variant()
     data["actions"].insert(1, {"name": "chop_noop", "kind": "physical"})
     data["outcome_models"] = [
@@ -120,7 +119,6 @@ def test_outcome_model_normalizes_and_keeps_scale():
     domain = parse_domain(data)
     model = domain.outcome_models["chop"]
     assert [o.likelihood for o in model.outcomes] == [0.8, 0.2]
-    assert model.scale == 10.0
     assert not domain.is_deterministic()
 
 
