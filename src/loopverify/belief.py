@@ -73,10 +73,7 @@ class BeliefState:
 
     def worlds(self) -> list:
         """Positive-weight worlds, deduplicated, in sorted key order."""
-        seen = {}
-        for (world, _tag), weight in self.particles.items():
-            seen[world] = seen.get(world, 0.0) + weight
-        return [w for w, _ in sorted(seen.items(), key=lambda kv: kv[0].key())]
+        return sorted(self.merged(), key=WorldState.key)
 
     def merged(self) -> dict:
         """World -> total weight, ignoring history tags."""

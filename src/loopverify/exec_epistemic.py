@@ -160,7 +160,7 @@ def _replay_step(controller, domain, cfg, step, poss_mode, real_mode):
                 raise ScenarioError(
                     f"{advised!r} has no outcome model; outcome {actual!r} is impossible"
                 )
-        elif not any(_same_name(actual, o.action) for o in model.positive()):
+        elif not any(_same_name(actual, o.action) for o in model.outcomes):
             raise ScenarioError(
                 f"{actual!r} is not a positive-likelihood outcome of {advised!r}"
             )
@@ -329,8 +329,8 @@ def _search_existential(search: _Search, controller: Controller, domain: Domain)
                     (Config(prev[0], prev[1]), action, obs)
                     for prev, action, obs in search.trace(key)
                 ]
-        elif successor_keys is None:
-            truncated = True
+        elif successor_keys is None and control is not None:
+            truncated = True  # a dead end (control None) has no run to extend
     return ("Unknown" if truncated else "Fails"), None
 
 

@@ -142,8 +142,8 @@ def successors(controller: Controller, domain: Domain, control, world: WorldStat
 
 def _steps(controller: Controller, domain: Domain, cfg: Config) -> list:
     """(next config, action, observation) for every branch of `cfg` that
-    has a target, sorted by (action, observation). Sensing must be
-    noise-free."""
+    has a target, sorted by (action, observation), numeric action names
+    before string ones. Sensing must be noise-free."""
     branches = successors(controller, domain, cfg.control, cfg.world)
     if len(branches) > 1 and branches[0].reading is not None:
         raise VerifierInputError(
@@ -155,7 +155,7 @@ def _steps(controller: Controller, domain: Domain, cfg: Config) -> list:
         for b in branches
         if b.target is not None
     ]
-    steps.sort(key=lambda entry: (entry[1], entry[2]))
+    steps.sort(key=lambda entry: (isinstance(entry[1], str), entry[1], entry[2]))
     return steps
 
 

@@ -224,6 +224,8 @@ def simulate(
     """
     if runs < 1:
         raise VerifierInputError("runs must be at least 1")
+    if not -(2**63) <= seed < 2**63:  # the range of a Philox key word
+        raise VerifierInputError(f"seed must lie in [-2**63, 2**63), got {seed}")
     _checked(controller, domain)
     if step_cap is None:
         step_cap = _default_step_cap(controller, domain)

@@ -99,13 +99,12 @@ def _list(value, what: str) -> list:
 
 @dataclass(frozen=True)
 class FluentDecl:
+    """A fluent and its values: the declared `range`, which holds only its
+    bounds however wide, or the declared list as a tuple, sorted if ints."""
+
     name: str
     kind: str  # "int" or "enum"
-    values: tuple
-    _members: frozenset = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_members", frozenset(self.values))
+    values: object  # range or tuple
 
     def coerce(self, raw, clamp: bool = False):
         """`raw` as a value of this fluent, or None when it is not one. An
@@ -113,13 +112,13 @@ class FluentDecl:
         `clamp` moves an integer past either end of the range onto it."""
         if type(raw) is float and raw.is_integer():
             raw = int(raw)
-        if clamp and type(raw) is int:
-            raw = min(max(raw, self.values[0]), self.values[-1])
-        # values are ints or strings; the type test also keeps out bools
-        # and the unhashable lists and objects of a JSON document
-        if type(raw) not in (int, str) or raw not in self._members:
+        # the type test keeps out bools, the lists and objects of a JSON
+        # document and, for a range, any value that would scan it
+        if type(raw) is not (int if self.kind == "int" else str):
             return None
-        return raw
+        if clamp:
+            raw = min(max(raw, self.values[0]), self.values[-1])
+        return raw if raw in self.values else None
 
 
 class WorldState:
@@ -134,15 +133,6 @@ class WorldState:
 
     def __getitem__(self, fluent: str):
         return self._values[fluent]
-
-    def __contains__(self, fluent: str) -> bool:
-        return fluent in self._values
-
-    def __iter__(self):
-        return iter(self._values)
-
-    def __len__(self) -> int:
-        return len(self._values)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, WorldState) and self._key == other._key
@@ -191,14 +181,11 @@ class Outcome:
 class OutcomeModel:
     """Distribution over which action occurs when `intended` is performed.
 
-    Likelihoods are normalized at parse time.
+    Likelihoods are normalized at parse time; only positive ones are kept.
     """
 
     intended: str
     outcomes: tuple  # tuple[Outcome, ...], declared order
-
-    def positive(self) -> tuple:
-        return tuple(o for o in self.outcomes if o.likelihood > 0.0)
 
 
 @dataclass(frozen=True)
@@ -245,10 +232,6 @@ class SensingModel:
             if reading.token == token:
                 return reading
         raise KeyError(token)
-
-    def positive_readings(self, world: "WorldState") -> tuple:
-        """Readings with positive likelihood in `world`, declared order."""
-        return tuple(r for r in self.readings if self.likelihood(world, r.value) > 0.0)
 
 
 def gaussian_density(value: float, mean: float, variance: float) -> float:
@@ -300,7 +283,7 @@ class Domain:
             if self.poss(action, world):
                 return [Outcome(action, 1.0)]
             return []
-        return [o for o in model.positive() if self.poss(o.action, world)]
+        return [o for o in model.outcomes if self.poss(o.action, world)]
 
     def _moves(self, advised: str, world: WorldState) -> tuple:
         """The controller-free part of one step from `world`, memoized:
@@ -326,8 +309,7 @@ class Domain:
     def is_deterministic(self) -> bool:
         """True when every outcome model is the trivial self-outcome."""
         for model in self.outcome_models.values():
-            positive = model.positive()
-            if len(positive) != 1 or positive[0].action != model.intended:
+            if len(model.outcomes) != 1 or model.outcomes[0].action != model.intended:
                 return False
         return True
 
@@ -430,7 +412,7 @@ def _parse_fluents(raw) -> dict:
                 or bounds[0] > bounds[1]
             ):
                 raise DomainError(f"bad range for {name!r}: {bounds!r}")
-            values = tuple(range(bounds[0], bounds[1] + 1))
+            values = range(bounds[0], bounds[1] + 1)
             kind = "int"
         elif "values" in entry:
             values = tuple(_list(entry["values"], f"values of {name!r}"))
@@ -535,10 +517,14 @@ def _parse_outcome_models(raw, actions: dict) -> dict:
         total = sum(o.likelihood for o in outcomes)
         if total <= 0.0:
             raise DomainError(f"outcome model of {intended!r} has zero total weight")
+        if not math.isfinite(total):
+            raise DomainError(f"outcome model of {intended!r} has an infinite total weight")
         if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
             # constant positive factors do not change the distribution
             outcomes = [Outcome(o.action, o.likelihood / total) for o in outcomes]
-        models[intended] = OutcomeModel(intended, tuple(outcomes))
+        models[intended] = OutcomeModel(
+            intended, tuple(o for o in outcomes if o.likelihood > 0.0)
+        )
     return models
 
 
@@ -659,6 +645,8 @@ def _parse_initial(raw, fluents: dict) -> tuple:
         worlds.append((world, float(weight)))
     if total <= 0.0:
         raise DomainError("initial worlds carry no weight")
+    if not math.isfinite(total):
+        raise DomainError("initial worlds carry an infinite total weight")
     return tuple(worlds)
 
 
@@ -729,7 +717,7 @@ def _check_sensors(fluents: dict, sensing: dict) -> str:
         for condition, _ in model.table:
             relevant |= set(mentioned_fluents(condition))
         for world in _small_assignments(fluents, relevant) or ():
-            live = len(model.positive_readings(world))
+            live = sum(model.likelihood(world, r.value) > 0.0 for r in model.readings)
             if not live:
                 raise DomainError(
                     f"sensor of {model.action!r} has no possible reading at {world!r}"

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -821,3 +823,129 @@ def test_simulate_know_goal_averages_its_content(capsys, tmp_path):
     ]
     assert reports[0]["truncated_rate"] > 0.0
     assert len({r["mean_final_bel"] for r in reports}) == 1
+
+
+def test_action_names_of_mixed_types(capsys, tmp_path):
+    # the outcomes of "go" are "go" and 7: exact checks order a config's
+    # steps by action name, numbers before strings
+    domain = tmp_path / "mixed.json"
+    domain.write_text(json.dumps({
+        "fluents": [{"name": "x", "range": [0, 1]}],
+        "actions": [
+            {"name": "go", "effects": [{"fluent": "x", "value": 1}]},
+            {"name": 7, "effects": [{"fluent": "x", "value": 1}]},
+        ],
+        "outcome_models": [{"intended": "go", "outcomes": [
+            {"actual": "go", "likelihood": 0.5}, {"actual": 7, "likelihood": 0.5}]}],
+        "initial": [{"state": {"x": 0}}],
+        "goal": "(= x 1)",
+    }))
+    controller = tmp_path / "go.json"
+    controller.write_text(json.dumps({
+        "states": [0, 1], "initial": 0, "final": 1,
+        "advice": {"0": "go"}, "transitions": [[0, "0", 1]],
+    }))
+    for criterion in ("def6", "termination", "def6+termination", "weight:0.5", "mass:0.5"):
+        code, out, err = run_cli(
+            capsys, "verify", str(domain), str(controller), "--criterion", criterion, "--json"
+        )
+        assert (code, err) == (0, ""), criterion
+        assert json.loads(out)["status"] == "Holds"
+    code, out, _err = run_cli(
+        capsys, "synthesize", str(domain), "--criterion", "def6", "--max-states", "2", "--json"
+    )
+    assert code == 0
+    assert (json.loads(out)["searched"], json.loads(out)["found"]) == (2, 1)
+
+
+def test_simulate_seed_must_fit_a_philox_key_word(capsys):
+    argv = ["simulate", fixture_path("treechop_noisyact.json"), fixture_path("fig1.json"),
+            "--runs", "10", "--json", "--seed"]
+    # 2**64 - 1 used to alias seed 0 and 2**65 to overflow
+    for seed in (2**63, 2**64 - 1, 2**65, -(2**63) - 1):
+        assert_input_error(capsys, [*argv, str(seed)])
+    for seed in (-(2**63), -1, 2**63 - 1):
+        code, out, _err = run_cli(capsys, *argv, str(seed))
+        assert code == 0 and json.loads(out)["seed"] == seed
+
+
+def test_simulate_text_report(capsys):
+    code, out, err = run_cli(
+        capsys, "simulate", fixture_path("treechop_noisyact.json"), fixture_path("fig1.json"),
+        "--runs", "10", "--seed", "0", "--track-belief",
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "runs: 10 (seed 0, step cap 330)",
+        "success rate: 1.000000 +- 0.000000",
+        "termination rate: 1.000000",
+        "truncated rate: 0.000000",
+        "mean final belief: 1.000000",
+    ]
+
+
+def test_synthesize_text_lists_solutions(capsys):
+    code, out, err = run_cli(
+        capsys, "synthesize", fixture_path("treechop_exact.json"),
+        "--criterion", "def4", "--max-states", "3",
+    )
+    assert (code, err) == (0, "")
+    summary, solution = out.splitlines()
+    assert summary.startswith("def4: searched ") and summary.endswith(" candidates, found 1")
+    with open(fixture_path("fig1.json")) as handle:
+        reference = json.load(handle)
+    reference.pop("name", None)
+    assert solution == "solution 0: " + json.dumps(reference, sort_keys=True)
+
+
+def test_exact_checks_catch_noise_past_the_static_limit(capsys, tmp_path):
+    # the sensor rows read x and y: 10,000 assignments, past the static
+    # check's limit, so the noisy row at the initial world is found when
+    # the check steps there
+    data = look_domain_data()
+    data["fluents"] = [{"name": "x", "range": [0, 99]}, {"name": "y", "range": [0, 99]}]
+    data["sensing_models"][0]["table"] = [
+        {"when": "(and (= x 0) (= y 0))", "likelihoods": {"lo": 0.5, "hi": 0.5}},
+        {"when": "true", "likelihoods": {"lo": 1.0}},
+    ]
+    data["initial"] = [{"state": {"x": 0, "y": 0}}]
+    domain = tmp_path / "wide_look.json"
+    domain.write_text(json.dumps(data))
+    controller = tmp_path / "look.json"
+    controller.write_text(json.dumps({
+        "states": [0, 1], "initial": 0, "final": 1,
+        "advice": {"0": "look"}, "transitions": [[0, "lo", 1], [0, "hi", 1]],
+    }))
+    argv = ["verify", str(domain), str(controller), "--criterion", "def6"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "not noise-free" in err
+    assert run_cli(capsys, *argv[:-1], "def9")[0] == 0
+
+
+def test_wide_range_loads_in_constant_memory(tmp_path):
+    # a range is held as its bounds: the 10**12 values of d never exist
+    resource = pytest.importorskip("resource")
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    with open(fixture_path("treechop_exact.json")) as handle:
+        data = json.load(handle)
+    data["fluents"][0]["range"] = [0, 10**12]
+    data["initial"] = [{"state": {"d": 3}}]
+    domain = tmp_path / "wide.json"
+    domain.write_text(json.dumps(data))
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    argv = [sys.executable, "-m", "loopverify.cli", "verify", str(domain),
+            fixture_path("fig1.json"), "--criterion", "def6"]
+    done = subprocess.run(
+        argv, env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=cap_address_space,
+    )
+    assert "Traceback" not in done.stderr
+    assert (done.returncode, done.stdout.splitlines()[0]) == (0, "def6: Holds")

@@ -382,6 +382,39 @@ def test_adversarial_fails_on_a_live_reading_without_a_transition():
     assert cfg.control == 0
 
 
+def test_existential_fails_at_a_dead_end_cut_off_by_the_bound():
+    # fig1 less its "up" edge, from d = 3: chop, then "up" has no
+    # transition. That dead end lies at depth 2, and a dead end has no run
+    # to extend, so both modes fail at bound 2 already
+    with open(fixture_path("treechop_exact.json")) as handle:
+        data = json.load(handle)
+    data["initial"] = [{"state": {"d": 3}, "weight": 1.0}]
+    domain = parse_domain(data)
+    no_up = Controller([0, 1, 2], 0, 2, {0: "chop", 1: "getd"}, {(0, "0"): 1, (1, "down"): 2})
+    for mode in ("existential", "adversarial"):
+        assert verify_epistemic(no_up, domain, mode, 1).status == "Unknown"
+        for bound in (2, 3):
+            assert verify_epistemic(no_up, domain, mode, bound).status == "Fails", mode
+
+
+def test_zero_weight_initial_world_is_never_the_real_one():
+    # `look` reads "lo" at x = 0 and "hi" at x = 1. Taken as the real
+    # world, x = 1 would read "hi", which the belief (x = 0 only) rules out
+    data = look_domain_data()
+    data["sensing_models"][0]["table"] = [
+        {"when": "(= x 0)", "likelihoods": {"lo": 1.0}},
+        {"when": "true", "likelihoods": {"hi": 1.0}},
+    ]
+    data["initial"].append({"state": {"x": 1}, "weight": 0.0})
+    domain = parse_domain(data)
+    only_lo = Controller([0, 1], 0, 1, {0: "look"}, {(0, "lo"): 1})
+    for mode in ("existential", "adversarial"):
+        verdict = verify_epistemic(only_lo, domain, mode)
+        assert verdict.status == "Holds", mode
+    x0 = world_from_dict(domain, {"x": 0})
+    assert [world for world, _trace in verify_epistemic(only_lo, domain).witnesses] == [x0]
+
+
 def test_adversarial_holds_agrees_with_absorption():
     # every run of an adversarial Holds reaches the final state with the
     # goal true, so the oracle's success mass within the bound is all of it

@@ -54,6 +54,14 @@ def test_combined_criterion_checks_termination_only_where_def6_holds(
     assert verdict.note == "no outcome branch reaches the goal"
 
 
+def test_combined_criterion_reports_termination_where_def6_holds(fig4, fig4_pickup):
+    # expected.json: def6 holds and termination fails for this pair
+    _name, check = parse_criterion("def6+termination")
+    verdict = check(fig4, fig4_pickup)
+    assert verdict.status == "Fails"
+    assert verdict.note.endswith("cannot reach the final state")
+
+
 def test_synthesis_recovers_reference_controller(treechop_exact, fig1):
     result = synthesize(treechop_exact, "def4", max_states=3)
     assert result.found

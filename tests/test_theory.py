@@ -122,6 +122,52 @@ def test_outcome_model_normalizes():
     assert not domain.is_deterministic()
 
 
+def test_outcome_model_keeps_positive_outcomes():
+    data = variant()
+    data["actions"].insert(1, {"name": "chop_noop", "kind": "physical"})
+
+    def model(chop, chop_noop):
+        data["outcome_models"] = [
+            {
+                "intended": "chop",
+                "outcomes": [
+                    {"actual": "chop", "likelihood": chop},
+                    {"actual": "chop_noop", "likelihood": chop_noop},
+                ],
+            }
+        ]
+        domain = parse_domain(data)
+        outcomes = domain.outcome_models["chop"].outcomes
+        return domain, [(o.action, o.likelihood) for o in outcomes]
+
+    domain, outcomes = model(2.0, 0.0)
+    assert outcomes == [("chop", 1.0)] and domain.is_deterministic()
+    # the intended action must be declared, not positive
+    domain, outcomes = model(0.0, 1.0)
+    assert outcomes == [("chop_noop", 1.0)] and not domain.is_deterministic()
+
+
+def test_infinite_total_weights_are_rejected():
+    # each weight is finite, but their sum is not: normalizing would give
+    # NaN masses and zero likelihoods
+    data = variant()
+    data["actions"].insert(1, {"name": "chop_noop", "kind": "physical"})
+    data["outcome_models"] = [
+        {
+            "intended": "chop",
+            "outcomes": [
+                {"actual": "chop", "likelihood": 1e308},
+                {"actual": "chop_noop", "likelihood": 1e308},
+            ],
+        }
+    ]
+    with pytest.raises(DomainError, match="outcome model of 'chop' has an infinite total"):
+        parse_domain(data)
+    heavy = [dict(world, weight=1e308) for world in BASE["initial"]]
+    with pytest.raises(DomainError, match="initial worlds carry an infinite total"):
+        parse_domain(variant(initial=heavy))
+
+
 def test_outcome_model_must_include_intended():
     data = variant()
     data["actions"].insert(1, {"name": "chop_noop", "kind": "physical"})
@@ -319,6 +365,20 @@ def test_fluent_values_are_declared_values():
     assert d.coerce(7, clamp=True) == 3 and d.coerce(-2.0, clamp=True) == 0
     assert d.coerce(2.5, clamp=True) is None and d.coerce(True, clamp=True) is None
     assert material.coerce("wood") == "wood" and material.coerce(0) is None
+
+
+def test_range_fluents_hold_their_range():
+    domain = parse_domain(BASE)
+    assert domain.fluents["d"].values == range(0, 4)
+    assert domain.fluents["material"].values == ("wood", "metal")
+    fluents = [{"name": "d", "range": [0, 10**12]}, BASE["fluents"][1]]
+    wide = parse_domain(variant(fluents=fluents))
+    d = wide.fluents["d"]
+    assert len(d.values) == 10**12 + 1 and wide.world_space_size() == 2 * (10**12 + 1)
+    assert d.coerce(10**12) == 10**12 and d.coerce(float(10**12)) == 10**12
+    assert d.coerce(10**12 + 1) is None and d.coerce(-1) is None
+    assert d.coerce(10**13, clamp=True) == 10**12
+    assert d.coerce("1") is None and d.coerce(True) is None
 
 
 def test_sensor_coverage_checked():
