@@ -10,7 +10,6 @@ from .belief import (
     condition,
     eval_goal,
     initial_belief,
-    know,
     progress,
 )
 from .controller import (
@@ -24,7 +23,6 @@ from .controller import (
     validate,
 )
 from .exec_epistemic import (
-    ExecutionStuck,
     ScenarioError,
     load_scenario,
     parse_scenario,
@@ -66,7 +64,6 @@ __all__ = [
     "CriterionError",
     "Domain",
     "DomainError",
-    "ExecutionStuck",
     "FormulaError",
     "NULL_OBSERVATION",
     "ObservationImpossible",
@@ -84,7 +81,6 @@ __all__ = [
     "export_dot",
     "from_json_dict",
     "initial_belief",
-    "know",
     "load_controller",
     "load_domain",
     "load_scenario",

@@ -6,7 +6,11 @@ world over the action's executable alternatives, scaled by their
 likelihoods; worlds where no alternative is executable contribute
 nothing. Sensor readings rescale each world by the reading's likelihood
 there. Normalization happens only inside queries, so weights stay exact
-products of the declared likelihoods.
+products of the declared likelihoods, up to one power of two: a belief
+whose total weight falls below `_RESCALE_BELOW` is scaled by the power
+of two that brings the total into [0.5, 1). That scaling is exact, so
+it changes no normalized weight, key or query, and it keeps a long run
+of small likelihoods from underflowing every weight to 0.0.
 
 `progress` and `condition` on a declared reading depend only on the
 action, the reading and the belief's exact contents: its particles with
@@ -25,11 +29,16 @@ possible world of a belief is memoized the same way.
 
 from __future__ import annotations
 
-from .formulas import BELIEF_EPS, Comparison, eval_condition, walk
+import math
+
+from .formulas import Comparison, eval_condition, walk
 from .theory import Domain, Reading, WorldState
 
 # decimal places key() rounds to; the key is cached per belief
 _KEY_PLACES = 9
+
+# total weight below which a new belief is rescaled (see the docstring)
+_RESCALE_BELOW = 2.0**-256
 
 
 class BeliefAnnihilated(ValueError):
@@ -54,6 +63,10 @@ class BeliefState:
 
     def __init__(self, particles: dict, tracing: bool = False):
         self.particles = {k: w for k, w in particles.items() if w > 0.0}
+        total = sum(self.particles.values())
+        if 0.0 < total < _RESCALE_BELOW:
+            shift = -math.frexp(total)[1]
+            self.particles = {k: math.ldexp(w, shift) for k, w in self.particles.items()}
         self.tracing = tracing
         self._sampled = False  # conditioned on a raw value, here or upstream
         self._contents = None  # memo key of the exact contents, on first use
@@ -219,10 +232,6 @@ def bel(b: BeliefState, formula) -> float:
     if total <= 0.0:
         raise ValueError("belief state has no weight")
     return matching / total
-
-
-def know(b: BeliefState, formula) -> bool:
-    return bel(b, formula) >= 1.0 - BELIEF_EPS
 
 
 def eval_goal(b: BeliefState, goal) -> bool:

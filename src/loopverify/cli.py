@@ -14,6 +14,7 @@ json` are written the same way.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -27,7 +28,12 @@ from .controller import (
     to_json_dict,
     validate,
 )
-from .exec_epistemic import ScenarioError, load_scenario, run_scenario
+from .exec_epistemic import (
+    DEFAULT_DEPTH_BOUND,
+    ScenarioError,
+    load_scenario,
+    run_scenario,
+)
 from .exec_exact import Verdict, VerifierInputError
 from .montecarlo import simulate
 from .synth import CriterionError, parse_criterion, synthesize
@@ -181,18 +187,22 @@ def _print_verdict(criterion: str, verdict: Verdict) -> None:
             )
 
 
+def _modes(args) -> dict:
+    """The belief-level mode arguments that --poss-at-real and
+    --real-intended select."""
+    return {
+        "poss_mode": "real" if args.poss_at_real else "belief",
+        "real_mode": "intended" if args.real_intended else "outcome",
+    }
+
+
 def _cmd_verify(args) -> int:
     domain = load_domain(args.domain)
     controller = load_controller(args.controller)
     defects = validate(controller, domain, strict=args.strict)
     if defects:
         raise ControllerError("; ".join(defects))
-    name, checker = parse_criterion(
-        args.criterion,
-        depth_bound=args.depth_bound,
-        poss_mode="real" if args.poss_at_real else "belief",
-        real_mode="intended" if args.real_intended else "outcome",
-    )
+    name, checker = parse_criterion(args.criterion, args.depth_bound, **_modes(args))
     verdict = checker(controller, domain)
     if args.json:
         payload = _verdict_json(name, verdict)
@@ -215,8 +225,7 @@ def _cmd_trace(args) -> int:
         domain,
         real,
         scenario,
-        poss_mode="real" if args.poss_at_real else "belief",
-        real_mode="intended" if args.real_intended else "outcome",
+        **_modes(args),
         tracing=args.trace_particles,
         collect=collect,
     )
@@ -272,19 +281,8 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         track_belief=args.track_belief,
     )
-    payload = {
-        "command": "simulate",
-        "runs": report.runs,
-        "seed": report.seed,
-        "step_cap": report.step_cap,
-        "success_rate": report.success_rate,
-        "termination_rate": report.termination_rate,
-        "truncated_rate": report.truncated_rate,
-        "mean_final_bel": report.mean_final_bel,
-        "std_error": report.std_error,
-    }
     if args.json:
-        _emit(payload)
+        _emit({"command": "simulate", **dataclasses.asdict(report)})
     else:
         print(f"runs: {report.runs} (seed {report.seed}, step cap {report.step_cap})")
         print(f"success rate: {report.success_rate:.6f} +- {report.std_error:.6f}")
@@ -303,8 +301,7 @@ def _cmd_synthesize(args) -> int:
         args.max_states,
         limit=args.limit,
         depth_bound=args.depth_bound,
-        poss_mode="real" if args.poss_at_real else "belief",
-        real_mode="intended" if args.real_intended else "outcome",
+        **_modes(args),
     )
     documents = [to_json_dict(solution) for solution in result.solutions]
     if args.out_dir:
@@ -379,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("domain")
     verify.add_argument("controller")
     verify.add_argument("--criterion", required=True)
-    verify.add_argument("--depth-bound", type=int, default=64)
+    verify.add_argument("--depth-bound", type=int, default=DEFAULT_DEPTH_BOUND)
     verify.add_argument(
         "--strict", action="store_true", help="require a total transition function"
     )
@@ -419,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--criterion", required=True)
     synth.add_argument("--max-states", type=int, required=True)
     synth.add_argument("--limit", type=int, default=1)
-    synth.add_argument("--depth-bound", type=int, default=64)
+    synth.add_argument("--depth-bound", type=int, default=DEFAULT_DEPTH_BOUND)
     synth.add_argument("--out-dir", help="write each solution as JSON into this directory")
     common_modes(synth)
     synth.add_argument("--json", action="store_true")

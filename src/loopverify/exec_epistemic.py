@@ -46,6 +46,9 @@ from .exec_exact import (
 )
 from .theory import NULL_OBSERVATION, Domain, WorldState, read_json, read_name
 
+# steps a def9 search explores before it cuts a run off, unless told otherwise
+DEFAULT_DEPTH_BOUND = 64
+
 
 class ScenarioError(ValueError):
     """The scenario file is malformed or inconsistent with the domain."""
@@ -322,7 +325,7 @@ def _node_key(node: tuple) -> tuple:
 def _search_existential(search: _Search, controller: Controller, domain: Domain):
     """One goal-reaching run; returns (status, trace or None)."""
     truncated = False
-    for (control, _real, _belief_key, belief), key, _depth, successor_keys in search:
+    for (control, _real, _belief_key, belief), key, successor_keys in search:
         if control == controller.final:
             if eval_goal(belief, domain.goal):
                 return "Holds", [
@@ -346,7 +349,7 @@ def _search_adversarial(search: _Search, controller: Controller, domain: Domain)
     Unknown when the bound cut off an unexplored node."""
     edges = {}  # key -> successor keys, or None where the bound cut off
     truncated = False
-    for (control, _real, _belief_key, belief), key, _depth, successor_keys in search:
+    for (control, _real, _belief_key, belief), key, successor_keys in search:
         if control == controller.final:
             if not eval_goal(belief, domain.goal):
                 return "Fails"
@@ -384,7 +387,7 @@ def verify_epistemic(
     controller: Controller,
     domain: Domain,
     mode: str = "existential",
-    depth_bound: int = 64,
+    depth_bound: int = DEFAULT_DEPTH_BOUND,
     poss_mode: str = "belief",
     real_mode: str = "outcome",
 ) -> Verdict:
@@ -405,12 +408,12 @@ def verify_epistemic(
     expand = functools.partial(
         _successors, controller, domain, poss_mode=poss_mode, real_mode=real_mode
     )
+    belief = initial_belief(domain)
     witnesses = []
     unknown_world = None
     for world, weight in domain.initial_worlds:
         if weight <= 0.0:
             continue
-        belief = initial_belief(domain)
         start = (controller.initial, world, belief.key(), belief)
         search = _Search([start], expand, _node_key, depth_bound)
         if mode == "existential":

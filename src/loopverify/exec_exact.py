@@ -165,10 +165,10 @@ class _Search:
     `expand(node)` lists the node's (next node, action, observation)
     edges. Nodes are identified by `key(node)`, the node itself by
     default, and each key is visited once, in discovery order. Iterating
-    yields (node, key, depth, successor keys); the successor keys are
-    None for a node at `depth_bound`, which is not expanded. `parent`
-    maps every discovered key, in discovery order, to (previous key,
-    action, observation), or to None at a start node.
+    yields (node, key, successor keys); the successor keys are None for
+    a node `depth_bound` steps from a start, which is not expanded.
+    `parent` maps every discovered key, in discovery order, to (previous
+    key, action, observation), or to None at a start node.
     """
 
     __slots__ = ("parent", "_queue", "_expand", "_key", "_depth_bound")
@@ -191,7 +191,7 @@ class _Search:
         while queue:
             node, node_key, depth = queue.popleft()
             if depth == depth_bound:
-                yield node, node_key, depth, None
+                yield node, node_key, None
                 continue
             successor_keys = []
             for nxt, action, obs in expand(node):
@@ -200,7 +200,7 @@ class _Search:
                 if nxt_key not in parent:
                     parent[nxt_key] = (node_key, action, obs)
                     queue.append((nxt, nxt_key, depth + 1))
-            yield node, node_key, depth, successor_keys
+            yield node, node_key, successor_keys
 
     def trace(self, key) -> list:
         """The (previous key, action, observation) steps from a start
@@ -235,7 +235,7 @@ def _weak_trace(controller: Controller, domain: Domain, expand, world: WorldStat
     """Breadth-first search for one goal-reaching branch from `world`;
     its trace, or None when there is none, and the search."""
     search = _Search([Config(controller.initial, world)], expand)
-    for cfg, _key, _depth, _successor_keys in search:
+    for cfg, _key, _successor_keys in search:
         if cfg.control == controller.final and eval_condition(domain.goal, cfg.world):
             return search.trace(cfg), search
     return None, search
@@ -289,7 +289,7 @@ def verify_exact(controller: Controller, domain: Domain) -> Verdict:
         trace = search.trace(last)
         if last.control == controller.final:
             note = "goal false at the final state"
-        elif not (steps := search._expand(last)):
+        elif not (steps := _steps(controller, domain, last)):
             note = "run is stuck before the final state"
         else:
             trace.append((last, *steps[0][1:]))
@@ -313,7 +313,7 @@ def verify_termination(controller: Controller, domain: Domain) -> Verdict:
         functools.partial(_steps, controller, domain),  # one visit per config
     )
     reverse = {}
-    for cfg, _key, _depth, successor_keys in search:
+    for cfg, _key, successor_keys in search:
         for nxt in successor_keys:
             reverse.setdefault(nxt, []).append(cfg)
     stack = [cfg for cfg in search.parent if cfg.control == controller.final]

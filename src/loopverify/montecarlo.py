@@ -42,7 +42,7 @@ from .formulas import (
     has_belief_atoms,
     walk,
 )
-from .theory import Domain
+from .theory import Domain, _value_count
 
 RUN_BLOCK = 8192  # runs stepped together on the vectorized path
 WINDOW = 1024  # columns of random cells held per run: 64 MB at RUN_BLOCK rows
@@ -61,7 +61,9 @@ class SimReport:
 
 
 def _default_step_cap(controller: Controller, domain: Domain) -> int:
-    return 10 * len(controller.states) * domain.world_space_size()
+    """10 x controller states x worlds."""
+    worlds = math.prod(_value_count(decl.values) for decl in domain.fluents.values())
+    return 10 * len(controller.states) * worlds
 
 
 def _cumulative(weights: list) -> list:
@@ -154,7 +156,7 @@ def build_chain(controller: Controller, domain: Domain) -> Optional[_Chain]:
         "step" if cfg.control != controller.final
         else "success" if eval_condition(domain.goal, cfg.world)
         else "failure"
-        for cfg, _key, _depth, _successor_keys in search
+        for cfg, _key, _successor_keys in search
     ] + ["stuck"]
 
     index = {cfg: i for i, cfg in enumerate(search.parent)}  # discovery order

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .controller import enumerate_controllers
-from .exec_epistemic import verify_epistemic
+from .exec_epistemic import DEFAULT_DEPTH_BOUND, verify_epistemic
 from .exec_exact import (
     Verdict,
     verify_exact,
@@ -23,18 +23,6 @@ from .exec_exact import (
     verify_weight_threshold,
 )
 from .theory import Domain
-
-CRITERIA = (
-    "def4",
-    "def6",
-    "termination",
-    "def6+termination",
-    "weight:K",
-    "mass:K",
-    "def9",
-    "def9:existential",
-    "def9:adversarial",
-)
 
 
 class CriterionError(ValueError):
@@ -52,29 +40,36 @@ def _weak_and_terminating(controller, domain: Domain) -> Verdict:
     return Verdict("Holds", witnesses=weak.witnesses, note="both criteria hold")
 
 
+# the fixed criterion tokens and their checkers, in the order the error
+# for an unknown token lists them; the exec_exact checkers are looked up
+# when called, so a wrapper put on this module's names sees every check
+_CHECKERS = {
+    "def4": lambda c, d: verify_exact(c, d),
+    "def6": lambda c, d: verify_weak(c, d),
+    "termination": lambda c, d: verify_termination(c, d),
+    "def6+termination": _weak_and_terminating,
+}
+CRITERIA = (
+    *_CHECKERS, "weight:K", "mass:K", "def9", "def9:existential", "def9:adversarial"
+)
+
+
 def parse_criterion(
     token: str,
-    depth_bound: int = 64,
+    depth_bound: int = DEFAULT_DEPTH_BOUND,
     poss_mode: str = "belief",
     real_mode: str = "outcome",
 ) -> tuple[str, Callable]:
     """Map a criterion token to (canonical name, checker).
 
-    The checker has signature (controller, domain) -> Verdict.
-    Recognized tokens: def4, def6, termination, def6+termination,
-    weight:K, mass:K, def9, def9:existential, def9:adversarial.
+    The checker has signature (controller, domain) -> Verdict. The
+    recognized tokens are listed in CRITERIA.
     """
     if depth_bound < 0:
         raise CriterionError(f"depth bound must be at least 0, got {depth_bound}")
     token = token.strip()
-    if token == "def4":
-        return "def4", verify_exact
-    if token == "def6":
-        return "def6", verify_weak
-    if token == "termination":
-        return "termination", verify_termination
-    if token == "def6+termination":
-        return "def6+termination", _weak_and_terminating
+    if token in _CHECKERS:
+        return token, _CHECKERS[token]
     if token.startswith("weight:") or token.startswith("mass:"):
         kind, _, raw = token.partition(":")
         try:
@@ -127,7 +122,7 @@ def synthesize(
     criterion: str,
     max_states: int,
     limit: int = 1,
-    depth_bound: int = 64,
+    depth_bound: int = DEFAULT_DEPTH_BOUND,
     poss_mode: str = "belief",
     real_mode: str = "outcome",
 ) -> SynthResult:

@@ -313,12 +313,6 @@ class Domain:
                 return False
         return True
 
-    def world_space_size(self) -> int:
-        size = 1
-        for decl in self.fluents.values():
-            size *= len(decl.values)
-        return size
-
 
 def parse_domain(data) -> Domain:
     """Build a validated Domain from a JSON document (text or parsed)."""
@@ -650,12 +644,16 @@ def _parse_initial(raw, fluents: dict) -> tuple:
     return tuple(worlds)
 
 
+def _value_count(values) -> int:
+    """How many values a fluent has; `len` of a range past 2**63 - 1
+    values overflows."""
+    return values.stop - values.start if isinstance(values, range) else len(values)
+
+
 def _small_assignments(fluents: dict, relevant: set):
     """Worlds varying the `relevant` fluents, others padded; None if too many."""
     names = sorted(relevant)
-    size = 1
-    for name in names:
-        size *= len(fluents[name].values)
+    size = math.prod(_value_count(fluents[name].values) for name in names)
     if size > _STATIC_CHECK_LIMIT:
         return None
     others = {n: decl.values[0] for n, decl in fluents.items() if n not in relevant}

@@ -10,7 +10,6 @@ from loopverify.belief import (
     condition,
     eval_goal,
     initial_belief,
-    know,
     progress,
 )
 import loopverify.belief as belief_module
@@ -88,11 +87,21 @@ def test_bel_is_scale_invariant(treechop_metal):
 
 
 def test_know_threshold(treechop_metal):
-    cond = parse_condition("(>= d 1)", treechop_metal.fluents)
     b = initial_belief(treechop_metal)
-    assert know(b, cond)
-    wood = parse_condition("(= material wood)", treechop_metal.fluents)
-    assert not know(b, wood)
+    assert eval_goal(b, parse_objective("(know (>= d 1))", treechop_metal.fluents))
+    wood = parse_objective("(know (= material wood))", treechop_metal.fluents)
+    assert not eval_goal(b, wood)
+
+
+def test_tiny_totals_are_rescaled_by_a_power_of_two(treechop_exact):
+    # a total below 2**-256 moves into [0.5, 1) by an exact power of two,
+    # so the normalized weights keep their bits
+    w1, w2 = (world_from_dict(treechop_exact, {"d": d}) for d in (1, 2))
+    tiny = BeliefState({(w1, ""): 2.0**-600, (w2, ""): 3 * 2.0**-600})
+    assert tiny.particles == {(w1, ""): 0.125, (w2, ""): 0.375}
+    assert tiny.key() == BeliefState({(w1, ""): 1.0, (w2, ""): 3.0}).key()
+    small = {(w1, ""): 2.0**-250, (w2, ""): 3 * 2.0**-250}
+    assert BeliefState(small).particles == small
 
 
 def test_eval_goal_objective_and_epistemic(treechop_noisyact_bel):

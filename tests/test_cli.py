@@ -923,6 +923,51 @@ def test_exact_checks_catch_noise_past_the_static_limit(capsys, tmp_path):
     assert run_cli(capsys, *argv[:-1], "def9")[0] == 0
 
 
+def test_simulate_tracks_a_belief_through_thousands_of_small_likelihoods(capsys, tmp_path):
+    # a one-world loop of Gaussian looks: unscaled, the belief's weight
+    # shrinks with every reading until a live reading finds it all 0.0
+    data = look_domain_data()
+    data["fluents"] = [{"name": "x", "range": [0, 3]}]
+    data["sensing_models"][0] = {
+        "action": "look",
+        "readings": [
+            {"token": "a", "value": 0.5, "observation": "seen"},
+            {"token": "b", "value": 1.5, "observation": "seen"},
+        ],
+        "gaussian": {"mean_fluent": "x", "variance": 0.5},
+    }
+    domain = tmp_path / "loop.json"
+    domain.write_text(json.dumps(data))
+    controller = tmp_path / "loop_controller.json"
+    controller.write_text(json.dumps({
+        "states": [0, 1], "initial": 0, "final": 1,
+        "advice": {"0": "look"}, "transitions": [[0, "seen", 0]],
+    }))
+    code, out, _err = run_cli(
+        capsys, "simulate", str(domain), str(controller), "--runs", "1", "--seed", "0",
+        "--step-cap", "2000", "--track-belief", "--json",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert (report["truncated_rate"], report["mean_final_bel"]) == (1.0, 1.0)
+
+
+def test_range_wider_than_a_machine_word(capsys, tmp_path):
+    # 10**19 + 1 values do not fit the ssize_t that len() returns
+    def widen(data):
+        data["fluents"][0]["range"] = [0, 10**19]
+
+    domain = write_domain(tmp_path, "treechop_exact.json", widen)
+    fig1 = fixture_path("fig1.json")
+    code, out, _err = run_cli(capsys, "verify", domain, fig1, "--criterion", "def6")
+    assert (code, out.splitlines()[0]) == (0, "def6: Holds")
+    code, out, _err = run_cli(
+        capsys, "simulate", domain, fig1, "--runs", "10", "--seed", "0", "--json"
+    )
+    assert code == 0
+    assert json.loads(out)["step_cap"] == 10 * 3 * (10**19 + 1)
+
+
 def test_wide_range_loads_in_constant_memory(tmp_path):
     # a range is held as its bounds: the 10**12 values of d never exist
     resource = pytest.importorskip("resource")

@@ -2,6 +2,7 @@
 indent=2)` writes, for the private writer on generated values and for
 every command's output on the fixtures."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopverify.cli import _dumps, main
+from loopverify.montecarlo import SimReport
 
 from conftest import fixture_path
 
@@ -193,6 +195,18 @@ def test_simulate_synthesize_and_export_json_are_canonical(capsys, tmp_path):
     code, out = run_cli(capsys, "export", fixture_path("fig4.json"), "--format", "json")
     assert code == 0
     assert_canonical(out)
+
+
+def test_simulate_json_is_the_report_and_its_command(capsys):
+    code = main([
+        "simulate", fixture_path("treechop_noisyact.json"), fixture_path("fig1.json"),
+        "--runs", "10", "--seed", "0", "--json",
+    ])
+    document = json.loads(capsys.readouterr().out)
+    assert code == 0
+    fields = [f.name for f in dataclasses.fields(SimReport)]
+    assert sorted(document) == sorted(["command", *fields])
+    assert document["command"] == "simulate"
 
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")

@@ -397,6 +397,50 @@ def test_existential_fails_at_a_dead_end_cut_off_by_the_bound():
             assert verify_epistemic(no_up, domain, mode, bound).status == "Fails", mode
 
 
+def test_def9_through_readings_too_unlikely_for_a_float_product():
+    # one reading far from both worlds: its density is 1.1e-174 at x = 0
+    # and 9.4e-158 at x = 1, so three looks multiply every unscaled weight
+    # down to 0.0; every run is live and ends with the goal true
+    far = {
+        "fluents": [{"name": "x", "range": [0, 1]}],
+        "actions": [{"name": "look", "kind": "sensing"}],
+        "sensing_models": [{
+            "action": "look",
+            "readings": [{"token": "r", "value": 20.0, "observation": "o"}],
+            "gaussian": {"mean_fluent": "x", "variance": 0.5},
+        }],
+        "initial": [{"state": {"x": 0}, "weight": 0.5}, {"state": {"x": 1}, "weight": 0.5}],
+        "goal": "true",
+    }
+    domain = parse_domain(far)
+    for looks, bound in ((3, 64), (64, 80)):
+        states = list(range(looks + 1))
+        controller = Controller(
+            states, 0, looks, {i: "look" for i in states[:-1]},
+            {(i, "o"): i + 1 for i in states[:-1]},
+        )
+        for mode in ("existential", "adversarial"):
+            verdict = verify_epistemic(controller, domain, mode, bound)
+            assert verdict.status == "Holds", (looks, mode)
+
+
+def test_one_prior_per_check(monkeypatch, fig1, treechop_noisyact_bel):
+    # every initial world starts its search from the same prior belief
+    import loopverify.exec_epistemic as exec_epistemic
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return initial_belief(*args)
+
+    monkeypatch.setattr(exec_epistemic, "initial_belief", counted)
+    assert len(treechop_noisyact_bel.initial_worlds) > 1
+    for mode in ("existential", "adversarial"):
+        verify_epistemic(fig1, treechop_noisyact_bel, mode)
+    assert len(calls) == 2
+
+
 def test_zero_weight_initial_world_is_never_the_real_one():
     # `look` reads "lo" at x = 0 and "hi" at x = 1. Taken as the real
     # world, x = 1 would read "hi", which the belief (x = 0 only) rules out

@@ -364,8 +364,11 @@ def test_step_cap_validation(fig1, treechop_noisyact):
         simulate(fig1, treechop_noisyact, runs=0, step_cap=10)
 
 
-def test_default_step_cap(fig1, treechop_exact):
+def test_default_step_cap(fig1, treechop_exact, treechop_metal):
+    # 10 x controller states x worlds; d in [0, 2] and material in
+    # {wood, metal} make 6 worlds
     assert _default_step_cap(fig1, treechop_exact) == 10 * 3 * 11
+    assert _default_step_cap(fig1, treechop_metal) == 10 * 3 * 6
 
 
 def test_truncation_dominates_small_caps(fig1, treechop_noisyact):

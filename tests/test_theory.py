@@ -69,7 +69,6 @@ def test_world_state_identity():
 def test_parse_and_enumerate():
     domain = parse_domain(BASE)
     assert domain.name == "probe"
-    assert domain.world_space_size() == 8
     assert domain.observations() == (NULL_OBSERVATION, "down", "up")
     assert domain.is_deterministic()
 
@@ -374,7 +373,7 @@ def test_range_fluents_hold_their_range():
     fluents = [{"name": "d", "range": [0, 10**12]}, BASE["fluents"][1]]
     wide = parse_domain(variant(fluents=fluents))
     d = wide.fluents["d"]
-    assert len(d.values) == 10**12 + 1 and wide.world_space_size() == 2 * (10**12 + 1)
+    assert len(d.values) == 10**12 + 1
     assert d.coerce(10**12) == 10**12 and d.coerce(float(10**12)) == 10**12
     assert d.coerce(10**12 + 1) is None and d.coerce(-1) is None
     assert d.coerce(10**13, clamp=True) == 10**12
