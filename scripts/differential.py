@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
 """Compare the CLI output of the working tree with that of a revision.
 
-    python3 scripts/differential.py --base REV --pairs N [--seed S]
+    python3 scripts/differential.py --base REV --pairs N
 
-Writes N seeded (domain, controller) pairs once, from the working tree's
-tests/generators.py: the domains alternate `random_domain` and
+Writes N (domain, controller) pairs once, at seed 0, from the working
+tree's tests/generators.py: the domains alternate `random_domain` and
 `noisy_sensing_domain`, each with a `random_controller(max_states=4)`.
 Unpacks `git archive REV` into a temporary directory outside the
 checkout. On every pair, both sides run `verify --json` for each
-criterion in CRITERIA (at `--depth-bound 8`) and `simulate --json`, with
-and without `--track-belief`. Each side runs all its commands in one
-worker interpreter that calls `loopverify.cli.main` in process, and the
-two workers get different PYTHONHASHSEEDs, so output that depends on
-hash order shows up as a difference.
+criterion in the working tree's `loopverify.synth.CRITERIA` (K = 0.5,
+at `--depth-bound 8`) and `simulate --json`, with and without
+`--track-belief`. Each side runs all its commands in one worker
+interpreter that calls `loopverify.cli.main` in process, and the two
+workers get different PYTHONHASHSEEDs, so output that depends on hash
+order shows up as a difference.
 
 Prints every difference in exit code, stdout or stderr, and exits 1 if
 there is any, else 0. A command that raises is recorded as its exception
@@ -33,11 +34,13 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
-CRITERIA = (
-    "def4", "def6", "termination", "def6+termination", "weight:0.5", "mass:0.5",
-    "def9:existential", "def9:adversarial",
-)
+from generators import noisy_sensing_domain, random_controller, random_domain  # noqa: E402
+
+from loopverify import parse_domain, to_json_dict  # noqa: E402
+from loopverify.synth import CRITERIA  # noqa: E402
+
 DEPTH_BOUND = "8"
 RUNS = "20"
 
@@ -65,15 +68,10 @@ for line in sys.stdin:
 """
 
 
-def write_pairs(directory: str, count: int, seed: int) -> list:
+def write_pairs(directory: str, count: int) -> list:
     """The paths of `count` (domain, controller) files written into
     `directory` from the working tree's generators."""
-    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
-    from generators import noisy_sensing_domain, random_controller, random_domain
-
-    from loopverify import parse_domain, to_json_dict
-
-    rng = random.Random(seed)
+    rng = random.Random(0)
     pairs = []
     for i in range(count):
         data = (random_domain if i % 2 == 0 else noisy_sensing_domain)(rng)
@@ -90,8 +88,8 @@ def commands(pairs: list) -> list:
     argvs = []
     for i, (domain, controller) in enumerate(pairs):
         for criterion in CRITERIA:
-            argvs.append(["verify", domain, controller, "--criterion", criterion,
-                          "--depth-bound", DEPTH_BOUND, "--json"])
+            argvs.append(["verify", domain, controller, "--criterion",
+                          criterion.replace("K", "0.5"), "--depth-bound", DEPTH_BOUND, "--json"])
         for extra in ([], ["--track-belief"]):
             argvs.append(["simulate", domain, controller, "--runs", RUNS,
                           "--seed", str(i), "--json", *extra])
@@ -139,11 +137,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="the git revision to compare with")
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seed", type=int, default=0, help="seed of the generated pairs")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as inputs, tempfile.TemporaryDirectory() as base:
         unpack(args.base, base)
-        argvs = commands(write_pairs(inputs, args.pairs, args.seed))
+        argvs = commands(write_pairs(inputs, args.pairs))
         workers = [start_worker(base, "1"), start_worker(ROOT, "2")]
         differences = 0
         try:

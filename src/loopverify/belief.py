@@ -6,11 +6,9 @@ world over the action's executable alternatives, scaled by their
 likelihoods; worlds where no alternative is executable contribute
 nothing. Sensor readings rescale each world by the reading's likelihood
 there. Normalization happens only inside queries, so weights stay exact
-products of the declared likelihoods, up to one power of two: a belief
-whose total weight falls below `_RESCALE_BELOW` is scaled by the power
-of two that brings the total into [0.5, 1). That scaling is exact, so
-it changes no normalized weight, key or query, and it keeps a long run
-of small likelihoods from underflowing every weight to 0.0.
+products of the declared likelihoods, up to one power of two: products
+that sum below `_RESCALE_BELOW` are computed again by `_rescaled`, so a
+long run of small likelihoods cannot underflow every weight to 0.0.
 
 `progress` and `condition` on a declared reading depend only on the
 action, the reading and the belief's exact contents: its particles with
@@ -37,7 +35,7 @@ from .theory import Domain, Reading, WorldState
 # decimal places key() rounds to; the key is cached per belief
 _KEY_PLACES = 9
 
-# total weight below which a new belief is rescaled (see the docstring)
+# sum of a belief's products below which `_rescaled` computes them again
 _RESCALE_BELOW = 2.0**-256
 
 
@@ -59,18 +57,15 @@ class BeliefState:
     weights stay visible for debugging.
     """
 
-    __slots__ = ("particles", "tracing", "_sampled", "_contents", "_key")
+    __slots__ = ("particles", "tracing", "_sampled", "_contents", "_key", "_total")
 
     def __init__(self, particles: dict, tracing: bool = False):
         self.particles = {k: w for k, w in particles.items() if w > 0.0}
-        total = sum(self.particles.values())
-        if 0.0 < total < _RESCALE_BELOW:
-            shift = -math.frexp(total)[1]
-            self.particles = {k: math.ldexp(w, shift) for k, w in self.particles.items()}
         self.tracing = tracing
         self._sampled = False  # conditioned on a raw value, here or upstream
         self._contents = None  # memo key of the exact contents, on first use
         self._key = None  # key() at the default precision, on first use
+        self._total = None  # total(), on first use or from _progress/_condition
 
     def _memo_contents(self):
         """The exact contents as a domain-memo key, or None for a sampled
@@ -82,7 +77,9 @@ class BeliefState:
         return self._contents
 
     def total(self) -> float:
-        return sum(self.particles.values())
+        if self._total is None:
+            self._total = sum(self.particles.values())
+        return self._total
 
     def worlds(self) -> list:
         """Positive-weight worlds, deduplicated, in sorted key order."""
@@ -172,13 +169,37 @@ def _progress(b: BeliefState, intended: str, domain: Domain) -> BeliefState:
         for action, likelihood, successor in domain._moves(intended, world):
             key = (successor, tag + "." + action if b.tracing else "")
             particles[key] = particles.get(key, 0.0) + weight * likelihood
+    total = sum(particles.values())
+    if total < _RESCALE_BELOW:
+        total = None
+        particles = _rescaled(
+            ((successor, tag + "." + action if b.tracing else ""), weight, likelihood)
+            for (world, tag), weight in b.particles.items()
+            for action, likelihood, successor in domain._moves(intended, world)
+        )
     state = BeliefState(particles, b.tracing)
     if not state.particles:
         raise BeliefAnnihilated(
             f"belief annihilated: {intended!r} is inexecutable in every possible world"
         )
     state._sampled = b._sampled
+    state._total = total
     return state
+
+
+def _rescaled(terms) -> dict:
+    """Key -> sum of weight * likelihood over `terms` of (key, weight,
+    likelihood), each product taken from its factors' `frexp` halves and
+    scaled by the power of two that puts the largest in [0.25, 1). That
+    is exact wherever the plain product is a normal float, so normalized
+    weights, keys and queries keep their bits, and a reading is ruled
+    out only where its likelihood is 0.0 at every world."""
+    split = [(key, *math.frexp(w), *math.frexp(likelihood)) for key, w, likelihood in terms]
+    top = max((e + f for _key, m, e, n, f in split if m * n), default=0)
+    particles = {}
+    for key, m, e, n, f in split:
+        particles[key] = particles.get(key, 0.0) + math.ldexp(m * n, e + f - top)
+    return particles
 
 
 def condition(b: BeliefState, action: str, reading, domain: Domain) -> BeliefState:
@@ -211,6 +232,12 @@ def _condition(b: BeliefState, model, reading) -> BeliefState:
         scaled = weight * model.likelihood(world, value)
         if scaled > 0.0:
             particles[(world, tag)] = scaled
+    total = sum(particles.values())
+    if total < _RESCALE_BELOW:
+        total = None
+        particles = _rescaled(
+            (key, weight, model.likelihood(key[0], value)) for key, weight in b.particles.items()
+        )
     state = BeliefState(particles, b.tracing)
     if not state.particles:
         raise ObservationImpossible(
@@ -218,6 +245,7 @@ def _condition(b: BeliefState, model, reading) -> BeliefState:
             f"reading {reading!r}"
         )
     state._sampled = b._sampled
+    state._total = total
     return state
 
 

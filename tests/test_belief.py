@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -93,15 +94,56 @@ def test_know_threshold(treechop_metal):
     assert not eval_goal(b, wood)
 
 
-def test_tiny_totals_are_rescaled_by_a_power_of_two(treechop_exact):
-    # a total below 2**-256 moves into [0.5, 1) by an exact power of two,
-    # so the normalized weights keep their bits
-    w1, w2 = (world_from_dict(treechop_exact, {"d": d}) for d in (1, 2))
-    tiny = BeliefState({(w1, ""): 2.0**-600, (w2, ""): 3 * 2.0**-600})
-    assert tiny.particles == {(w1, ""): 0.125, (w2, ""): 0.375}
-    assert tiny.key() == BeliefState({(w1, ""): 1.0, (w2, ""): 3.0}).key()
-    small = {(w1, ""): 2.0**-250, (w2, ""): 3 * 2.0**-250}
-    assert BeliefState(small).particles == small
+def _far_look_domain():
+    # x in {0, 1} read by a Gaussian look of variance 0.5, so a raw
+    # reading v has density exp(-(v - x)**2) / sqrt(pi) at x
+    return parse_domain({
+        "fluents": [{"name": "x", "range": [0, 1]}],
+        "actions": [{"name": "look", "kind": "sensing"}],
+        "sensing_models": [{
+            "action": "look",
+            "readings": [{"token": "r", "value": 0.0, "observation": "o"}],
+            "gaussian": {"mean_fluent": "x", "variance": 0.5},
+        }],
+        "initial": [{"state": {"x": 0}, "weight": 0.5}, {"state": {"x": 1}, "weight": 0.5}],
+        "goal": "true",
+    })
+
+
+def test_tiny_products_are_rescaled_by_a_power_of_two():
+    # products summing below 2**-256 but still normal floats come back
+    # multiplied by one power of two, so the normalized weights keep
+    # their bits
+    domain = _far_look_domain()
+    w0, w1 = (world_from_dict(domain, {"x": x}) for x in (0, 1))
+    tiny = BeliefState({(w0, ""): 2.0**-300, (w1, ""): 3 * 2.0**-300})
+    stepped = condition(tiny, "look", 0.25, domain)
+    model = domain.sensing_models["look"]
+    l0, l1 = (model.likelihood(w, 0.25) for w in (w0, w1))
+    assert 0.25 <= max(stepped.particles.values()) < 1.0
+    ratio = stepped.particles[(w1, "")] / stepped.particles[(w0, "")]
+    assert ratio == (3 * 2.0**-300 * l1) / (2.0**-300 * l0)
+    plain = condition(BeliefState({(w0, ""): 1.0, (w1, ""): 3.0}), "look", 0.25, domain)
+    assert stepped.key() == plain.key()
+    # a total of 2**-250 is left alone
+    small = BeliefState({(w0, ""): 2.0**-250, (w1, ""): 3 * 2.0**-250})
+    assert condition(small, "look", 0.25, domain).particles == {
+        (w0, ""): 2.0**-250 * l0, (w1, ""): 3 * 2.0**-250 * l1,
+    }
+
+
+def test_a_reading_that_underflows_every_plain_product():
+    # after a reading at 13.5 the belief's total is about 1e-68, above
+    # the rescale threshold; a reading at 26 then has density below
+    # 1e-271 at both worlds, so every plain product is 0.0
+    domain = _far_look_domain()
+    b = condition(initial_belief(domain), "look", 13.5, domain)
+    assert 1e-70 < b.total() < 1e-66
+    b = condition(b, "look", 26.0, domain)
+    w0, w1 = (world_from_dict(domain, {"x": x}) for x in (0, 1))
+    # the posterior odds of x = 0 are exp(-(13.5**2 + 26**2) + (12.5**2 + 25**2))
+    odds = b.particles[(w0, "")] / b.particles[(w1, "")]
+    assert odds == pytest.approx(math.exp(-77.25), rel=1e-9)
 
 
 def test_eval_goal_objective_and_epistemic(treechop_noisyact_bel):
