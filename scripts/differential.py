@@ -9,8 +9,9 @@ tree's tests/generators.py: the domains alternate `random_domain` and
 Unpacks `git archive REV` into a temporary directory outside the
 checkout. On every pair, both sides run `verify --json` for each
 criterion in the working tree's `loopverify.synth.CRITERIA` (K = 0.5,
-at `--depth-bound 8`) and `simulate --json`, with and without
-`--track-belief`. Each side runs all its commands in one worker
+at `--depth-bound 8`), `synthesize --json` on the pair's domain for each
+of those criteria at `--max-states 2`, and `simulate --json`, with and
+without `--track-belief`. Each side runs all its commands in one worker
 interpreter that calls `loopverify.cli.main` in process, and the two
 workers get different PYTHONHASHSEEDs, so output that depends on hash
 order shows up as a difference.
@@ -19,7 +20,7 @@ Prints every difference in exit code, stdout or stderr, and exits 1 if
 there is any, else 0. A command that raises is recorded as its exception
 type and message, not its traceback, whose line numbers differ between
 revisions. `trace` is not covered, because the generators write no
-scenarios; neither are `synthesize` and `export`.
+scenarios; neither is `export`.
 """
 
 from __future__ import annotations
@@ -88,8 +89,11 @@ def commands(pairs: list) -> list:
     argvs = []
     for i, (domain, controller) in enumerate(pairs):
         for criterion in CRITERIA:
-            argvs.append(["verify", domain, controller, "--criterion",
-                          criterion.replace("K", "0.5"), "--depth-bound", DEPTH_BOUND, "--json"])
+            criterion = criterion.replace("K", "0.5")
+            argvs.append(["verify", domain, controller, "--criterion", criterion,
+                          "--depth-bound", DEPTH_BOUND, "--json"])
+            argvs.append(["synthesize", domain, "--criterion", criterion,
+                          "--max-states", "2", "--json"])
         for extra in ([], ["--track-belief"]):
             argvs.append(["simulate", domain, controller, "--runs", RUNS,
                           "--seed", str(i), "--json", *extra])

@@ -17,16 +17,20 @@ domain's memo on that key, so searches, synthesis candidates and
 simulated runs that meet an equal belief share one result object, and
 an annihilated belief or an impossible reading is remembered as such.
 The rounded `key()` never keys the memo, because beliefs it merges can
-progress differently; it is cached on the belief object instead. A
-belief conditioned on a raw sampled value (a Gaussian sensor in
-`simulate`) and everything progressed from it are computed without the
-memo: almost every such belief is new, and storing them would grow the
-memo with the number of runs. Whether an action is executable at every
-possible world of a belief is memoized the same way.
+progress differently; it is cached on the belief object instead, and
+`_key_id` gives each distinct key a small int per domain. A belief
+conditioned on a raw sampled value (a Gaussian sensor in `simulate`) and
+everything progressed from it are computed without the memo: almost
+every such belief is new, and storing them would grow the memo with the
+number of runs. Whether an action is executable at every possible world
+of a belief is memoized the same way. `initial_belief` is built once per
+domain, so every search starts from one object, and each belief keeps
+the def9 searches' steps from it (`_steps`, filled by exec_epistemic).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .formulas import Comparison, eval_condition, walk
@@ -57,7 +61,7 @@ class BeliefState:
     weights stay visible for debugging.
     """
 
-    __slots__ = ("particles", "tracing", "_sampled", "_contents", "_key", "_total")
+    __slots__ = ("particles", "tracing", "_sampled", "_contents", "_key", "_total", "_steps")
 
     def __init__(self, particles: dict, tracing: bool = False):
         self.particles = {k: w for k, w in particles.items() if w > 0.0}
@@ -66,6 +70,7 @@ class BeliefState:
         self._contents = None  # memo key of the exact contents, on first use
         self._key = None  # key() at the default precision, on first use
         self._total = None  # total(), on first use or from _progress/_condition
+        self._steps = None  # the def9 searches' controller-free steps, on first use
 
     def _memo_contents(self):
         """The exact contents as a domain-memo key, or None for a sampled
@@ -115,12 +120,30 @@ class BeliefState:
 
 
 def initial_belief(domain: Domain, tracing: bool = False) -> BeliefState:
-    """Belief matching the prior; zero-weight worlds are not possible."""
-    particles = {}
-    for world, weight in domain.initial_worlds:
-        if weight > 0.0:
-            particles[(world, "")] = particles.get((world, ""), 0.0) + weight
-    return BeliefState(particles, tracing)
+    """Belief matching the prior; zero-weight worlds are not possible.
+    Built once per domain and tracing flag, then shared."""
+    key = ("prior", tracing)
+    prior = domain._memo.get(key)
+    if prior is None:
+        particles = {}
+        for world, weight in domain.initial_worlds:
+            if weight > 0.0:
+                particles[(world, "")] = particles.get((world, ""), 0.0) + weight
+        prior = domain._memo[key] = BeliefState(particles, tracing)
+    return prior
+
+
+def _key_id(domain: Domain, b: BeliefState) -> int:
+    """A small int standing for `b.key()` in `domain`: beliefs with equal
+    keys get equal ints and no others do, so nodes keyed by it merge
+    exactly where nodes keyed by the rounded key would. `next` on a count
+    and `setdefault` are each atomic, so threads sharing the domain never
+    give two keys one int."""
+    ids = domain._memo.get("key ids")
+    if ids is None:
+        ids = domain._memo.setdefault("key ids", ({}, itertools.count()))
+    known, fresh = ids
+    return known.setdefault(b.key(), next(fresh))
 
 
 def _memoized(domain: Domain, op: tuple, b: BeliefState, compute, *args):

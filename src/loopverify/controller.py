@@ -18,6 +18,10 @@ class ControllerError(ValueError):
 class Controller:
     """Immutable by convention; all fields are plain data."""
 
+    # the domain enumerate_controllers built this controller for: it is
+    # valid there by construction, so checks on that domain skip validate
+    _valid_for = None
+
     def __init__(self, states, initial, final, advice, transitions, name=""):
         self.states = list(states)
         self.initial = initial
@@ -250,7 +254,9 @@ def enumerate_controllers(domain, max_states: int):
     observations = list(domain.observations())
     for count in range(1, max_states + 1):
         for final in range(count - 1, -1, -1):
-            yield from _grow(count, final, actions, observations)
+            for candidate in _grow(count, final, actions, observations):
+                candidate._valid_for = domain
+                yield candidate
 
 
 def _grow(count: int, final: int, actions: list, observations: list):

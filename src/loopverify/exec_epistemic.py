@@ -10,6 +10,12 @@ One private step, `_step`, does this for scenario replay and for both
 searches: scenario replay (`_replay_step`) takes the branch its scenario
 names, the searches every branch whose reading the belief allows. A
 live reading without a transition ends a run short of the final state.
+Only the transition lookups of a step read more of the controller than
+its advice, so the searches keep the rest on the belief, per (advised
+action, real world, modes), and share it across initial worlds, checks
+and synthesis candidates (`_controller_free_step`). Search nodes carry
+a small int per rounded belief key, so they merge exactly where the
+keys do and hash cheaply.
 
 A plan is epistemically correct when, from every positive-weight initial
 world taken as the real one, execution reaches the final control state
@@ -29,6 +35,7 @@ from .belief import (
     BeliefAnnihilated,
     BeliefState,
     ObservationImpossible,
+    _key_id,
     _poss_everywhere,
     condition,
     eval_goal,
@@ -288,44 +295,76 @@ def run_scenario(
 
 
 def _successors(controller, domain, node: tuple, poss_mode: str, real_mode: str):
-    """Successor nodes of (control, real, belief key, belief), none at the
-    final state or where the step is stuck. A reading the belief rules out
-    has none; a live one without a transition leads to a dead-end node
-    with control None. Successors sharing a belief share its key."""
-    control, real, _belief_key, belief = node
+    """Successor nodes of (control, real, belief key id, belief), none at
+    the final state or where the step is stuck. A reading the belief rules
+    out has none; a live one without a transition leads to a dead-end node
+    with control None. Successors sharing a belief share its key id."""
+    control, real, _id, belief = node
     if control == controller.final:
         return []
+    advised = controller.advice.get(control)
+    if advised is None:
+        return []
+    cell = (advised, real, poss_mode, real_mode)
+    entry = None if belief._steps is None else belief._steps.get(cell)
+    if entry is None:
+        entry = _controller_free_step(controller, domain, node, cell)
+    transitions = controller.transitions
+    nodes = []
+    for obs, label, world, key_id, after in entry:
+        target = transitions.get((control, obs))
+        if target is None and obs == NULL_OBSERVATION:
+            return []  # a physical step without a null transition
+        nodes.append(((target, world, key_id, after), label, obs))
+    return nodes
+
+
+def _controller_free_step(controller, domain, node: tuple, cell: tuple) -> tuple:
+    """What `_step` gives at `node` except the transition targets: the
+    (observation, action or reading token, next world, next key id, next
+    belief) of each branch. `cell` names all that this reads besides the
+    controller, so it is kept on the belief under `cell`, except for a
+    physical step without a null transition: that reads no moves at the
+    real world, so it has nothing to keep."""
+    control, real, _id, belief = node
+    advised, _real, poss_mode, real_mode = cell
     try:
         branches, next_belief = _step(
             controller, domain, control, real, belief, poss_mode, real_mode
         )
     except ExecutionStuck:
-        return []
-    nodes = []
-    for b in branches:
-        try:
-            after = next_belief(b)
-        except ObservationImpossible:
-            continue
-        nxt = (b.target, b.world, after.key(), after)
-        reading = b.reading
-        if reading is None:
-            nodes.append((nxt, b.action, NULL_OBSERVATION))
-        else:
-            nodes.append((nxt, reading.token, reading.observation))
-    return nodes
+        entry = ()
+    else:
+        if (
+            domain.actions[advised].kind == "physical"
+            and (control, NULL_OBSERVATION) not in controller.transitions
+        ):
+            return ()
+        entry = []
+        for b in branches:
+            try:
+                after = next_belief(b)
+            except ObservationImpossible:
+                continue
+            label = b.action if b.reading is None else b.reading.token
+            entry.append((b.observation, label, b.world, _key_id(domain, after), after))
+        entry = tuple(entry)
+    if belief._steps is None:
+        belief._steps = {}
+    belief._steps[cell] = entry
+    return entry
 
 
 def _node_key(node: tuple) -> tuple:
-    """(control, real, belief key): beliefs merge under the key rounding,
-    and a trace step at this key is Config(key[0], key[1])."""
+    """(control, real, belief key id): beliefs merge under the key
+    rounding, and a trace step at this key is Config(key[0], key[1])."""
     return node[:3]
 
 
 def _search_existential(search: _Search, controller: Controller, domain: Domain):
     """One goal-reaching run; returns (status, trace or None)."""
     truncated = False
-    for (control, _real, _belief_key, belief), key, successor_keys in search:
+    for (control, _real, _id, belief), key, successor_keys in search:
         if control == controller.final:
             if eval_goal(belief, domain.goal):
                 return "Holds", [
@@ -349,7 +388,7 @@ def _search_adversarial(search: _Search, controller: Controller, domain: Domain)
     Unknown when the bound cut off an unexplored node."""
     edges = {}  # key -> successor keys, or None where the bound cut off
     truncated = False
-    for (control, _real, _belief_key, belief), key, successor_keys in search:
+    for (control, _real, _id, belief), key, successor_keys in search:
         if control == controller.final:
             if not eval_goal(belief, domain.goal):
                 return "Fails"
@@ -409,12 +448,13 @@ def verify_epistemic(
         _successors, controller, domain, poss_mode=poss_mode, real_mode=real_mode
     )
     belief = initial_belief(domain)
+    belief_id = _key_id(domain, belief)
     witnesses = []
     unknown_world = None
     for world, weight in domain.initial_worlds:
         if weight <= 0.0:
             continue
-        start = (controller.initial, world, belief.key(), belief)
+        start = (controller.initial, world, belief_id, belief)
         search = _Search([start], expand, _node_key, depth_bound)
         if mode == "existential":
             status, trace = _search_existential(search, controller, domain)

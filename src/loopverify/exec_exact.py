@@ -64,6 +64,8 @@ class Verdict:
 
 
 def _checked(controller: Controller, domain: Domain) -> None:
+    if controller._valid_for is domain:
+        return
     defects = validate(controller, domain)
     if defects:
         raise VerifierInputError("controller is invalid: " + "; ".join(defects))

@@ -15,13 +15,21 @@ simulated run on the domain shares it:
 - belief progression and conditioning (`belief.py`), by (action,
   reading, exact belief contents), including the annihilated and
   impossible results, and whether an action is executable in every
-  world of a belief, by (action, exact belief contents).
+  world of a belief, by (action, exact belief contents);
+- the prior belief, one per tracing flag (`belief.initial_belief`);
+- the def9 searches' step (`exec_epistemic`), everything in it but the
+  transition lookups, kept on each belief object the memo returns, by
+  (advised action, real world, poss mode, real mode). The object is a
+  safe key, because the memo returns one object for equal contents and
+  searches start from the one prior;
+- a small int for each distinct rounded `BeliefState.key()`, which
+  keys the def9 search nodes in its place.
 
-Entries are never keyed on the rounded `BeliefState.key()`, and errors
-from the domain are never stored. A belief conditioned on a raw sampled
-sensor value, and every belief progressed from it, stays out of the
-memo: each sampled run makes new ones, so storing them would grow the
-memo with the number of runs. The memo only grows and has no size
+No result is keyed on the rounded key, and errors from the domain are
+never stored. A belief conditioned on a raw sampled sensor value, and
+every belief progressed from it, stays out of the memo: each sampled
+run makes new ones, so storing them would grow the memo with the number
+of runs. The memo only grows and has no size
 limit; it lives as long as its domain. Threads may share a domain: two
 threads filling one entry store equal values.
 """

@@ -36,16 +36,20 @@ def posterior_paths(domain: Domain, steps: list) -> list:
 
     Steps are ("act", intended) or ("sense", action, value). Returns
     [(world history, weight)] with positive weights only; weights carry
-    prior x outcome likelihoods x sensing likelihoods. No merging, so
-    the result is a plain sum over every way the run can happen.
+    prior x outcome likelihoods x sensing likelihoods. They are kept as
+    sums of logarithms, so a long run of small likelihoods cannot
+    underflow, and returned shifted by the largest: the heaviest path
+    weighs 1.0, and a path below about 2**-1074 of it rounds to 0.0 and is
+    left out. No merging, so the result is a plain sum over every way the
+    run can happen, up to that common factor.
     """
-    paths = [([w], wt) for w, wt in domain.initial_worlds if wt > 0.0]
+    paths = [([w], math.log(wt)) for w, wt in domain.initial_worlds if wt > 0.0]
     for step in steps:
         new = []
         if step[0] == "act":
             intended = step[1]
             model = domain.outcome_models.get(intended)
-            for hist, wt in paths:
+            for hist, log_wt in paths:
                 world = hist[-1]
                 if model is None:
                     options = (
@@ -59,41 +63,41 @@ def posterior_paths(domain: Domain, steps: list) -> list:
                     ]
                 for actual, likelihood in options:
                     new.append(
-                        (hist + [domain.apply(actual, world)], wt * likelihood)
+                        (hist + [domain.apply(actual, world)], log_wt + math.log(likelihood))
                     )
         else:
             action, value = step[1], step[2]
             model = domain.sensing_models[action]
-            for hist, wt in paths:
+            for hist, log_wt in paths:
                 world = hist[-1]
                 if not domain.poss(action, world):
                     continue
                 likelihood = sensor_likelihood(model, world, value)
                 if likelihood > 0.0:
-                    new.append((hist, wt * likelihood))
+                    new.append((hist, log_wt + math.log(likelihood)))
         paths = new
-    return paths
+    top = max((log_wt for _hist, log_wt in paths), default=0.0)
+    shifted = [(hist, math.exp(log_wt - top)) for hist, log_wt in paths]
+    return [(hist, wt) for hist, wt in shifted if wt > 0.0]
 
 
 def posterior_bel(domain: Domain, steps: list, condition) -> float:
     """Degree of belief in `condition` after `steps`, by path summation."""
     paths = posterior_paths(domain, steps)
-    total = sum(wt for _hist, wt in paths)
-    if total <= 0.0:
+    if not paths:
         raise ValueError("no surviving path")
-    matching = sum(
-        wt for hist, wt in paths if eval_condition(condition, hist[-1])
-    )
+    total = math.fsum(wt for _hist, wt in paths)
+    matching = math.fsum(wt for hist, wt in paths if eval_condition(condition, hist[-1]))
     return matching / total
 
 
 def _goal_at_paths(domain: Domain, paths: list) -> bool:
     """The goal at the belief the paths make up: objective parts at every
     possible world, belief atoms by path summation."""
-    total = sum(wt for _hist, wt in paths)
+    total = math.fsum(wt for _hist, wt in paths)
 
     def bel_fn(inner) -> float:
-        return sum(wt for hist, wt in paths if eval_condition(inner, hist[-1])) / total
+        return math.fsum(wt for hist, wt in paths if eval_condition(inner, hist[-1])) / total
 
     return all(eval_condition(domain.goal, hist[-1], bel_fn) for hist, _wt in paths)
 

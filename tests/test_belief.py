@@ -354,3 +354,41 @@ def test_random_noise_free_scenarios_match_oracle():
         expected = posterior_bel(domain, steps, cond)
         assert bel(b, cond) == pytest.approx(expected, abs=1e-9)
         checked += 1
+
+
+def one_reading_domain(value: float, variance: float, weights: tuple) -> dict:
+    """x in 0..1 with prior `weights`; `look` is a Gaussian sensor on x
+    whose one reading "r" reports `value`."""
+    return {
+        "fluents": [{"name": "x", "range": [0, 1]}],
+        "actions": [{"name": "look", "kind": "sensing"}],
+        "sensing_models": [{
+            "action": "look",
+            "readings": [{"token": "r", "value": value, "observation": "o"}],
+            "gaussian": {"mean_fluent": "x", "variance": variance},
+        }],
+        "initial": [{"state": {"x": x}, "weight": w} for x, w in enumerate(weights)],
+        "goal": "true",
+    }
+
+
+def test_oracle_follows_the_engine_through_readings_too_unlikely_for_a_float_product():
+    # the `far` domain: the reading has density 1.1e-174 at x = 0 and
+    # 9.4e-158 at x = 1, so plain float products reach 0.0 by the third
+    # look; halfway between the means with variance 0.001, the density is
+    # about 6e-54 at both worlds and the 1:3 prior survives every look
+    cases = ((20.0, 0.5, (0.5, 0.5), 1.0), (0.5, 0.001, (0.25, 0.75), 0.75))
+    for value, variance, weights, expected in cases:
+        domain = parse_domain(one_reading_domain(value, variance, weights))
+        x_is_1 = parse_condition("(= x 1)", domain.fluents)
+        b = initial_belief(domain)
+        for looks in range(1, 65):
+            b = condition(b, "look", "r", domain)
+            if looks not in (3, 64):
+                continue
+            steps = [("sense", "look", value)] * looks
+            paths = posterior_paths(domain, steps)
+            assert paths and all(wt > 0.0 for _hist, wt in paths)
+            oracle = posterior_bel(domain, steps, x_is_1)
+            assert bel(b, x_is_1) == pytest.approx(oracle, abs=1e-12)
+            assert oracle == pytest.approx(expected, abs=1e-12)

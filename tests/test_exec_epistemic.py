@@ -19,7 +19,7 @@ from loopverify.exec_epistemic import (
 )
 from loopverify.exec_exact import VerifierInputError
 from loopverify.formulas import parse_condition
-from loopverify.theory import parse_domain, world_from_dict
+from loopverify.theory import load_domain, parse_domain, world_from_dict
 
 from conftest import fixture_path, look_domain_data
 from generators import noisy_sensing_domain, random_controller
@@ -424,21 +424,26 @@ def test_def9_through_readings_too_unlikely_for_a_float_product():
             assert verdict.status == "Holds", (looks, mode)
 
 
-def test_one_prior_per_check(monkeypatch, fig1, treechop_noisyact_bel):
-    # every initial world starts its search from the same prior belief
+def test_one_prior_per_domain(monkeypatch, fig1, treechop_noisyact_bel):
+    # every search on a domain, from every initial world and in every
+    # check, starts from the domain's one prior belief, so the steps kept
+    # on that belief serve them all
     import loopverify.exec_epistemic as exec_epistemic
 
-    calls = []
+    priors = []
 
-    def counted(*args):
-        calls.append(args)
-        return initial_belief(*args)
+    def recorded(*args):
+        priors.append(initial_belief(*args))
+        return priors[-1]
 
-    monkeypatch.setattr(exec_epistemic, "initial_belief", counted)
-    assert len(treechop_noisyact_bel.initial_worlds) > 1
+    monkeypatch.setattr(exec_epistemic, "initial_belief", recorded)
+    domain = load_domain(fixture_path("treechop_noisyact_bel.json"))
+    assert len(domain.initial_worlds) > 1
     for mode in ("existential", "adversarial"):
-        verify_epistemic(fig1, treechop_noisyact_bel, mode)
-    assert len(calls) == 2
+        verify_epistemic(fig1, domain, mode)
+    assert len(priors) == 2
+    assert all(prior is initial_belief(domain) for prior in priors)
+    assert initial_belief(domain) is not initial_belief(treechop_noisyact_bel)
 
 
 def test_zero_weight_initial_world_is_never_the_real_one():

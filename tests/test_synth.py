@@ -1,9 +1,22 @@
+import json
+
 import pytest
 
 from loopverify import synth
-from loopverify.controller import to_json_dict
-from loopverify.exec_exact import verify_exact
+from loopverify.controller import Controller, enumerate_controllers, to_json_dict
+from loopverify.exec_epistemic import verify_epistemic
+from loopverify.exec_exact import (
+    VerifierInputError,
+    verify_exact,
+    verify_goal_mass,
+    verify_termination,
+    verify_weak,
+    verify_weight_threshold,
+)
 from loopverify.synth import CRITERIA, CriterionError, parse_criterion, synthesize
+from loopverify.theory import parse_domain
+
+from conftest import fixture_path
 
 
 def test_parse_criterion_tokens(fig1, treechop_exact, treechop_metal):
@@ -112,3 +125,37 @@ def test_synth_result_reports_criterion(treechop_exact):
     assert result.max_states == 1
     # the trivial single-state controller terminates immediately
     assert result.found
+
+
+def test_checks_validate_every_controller_the_enumerator_did_not_build(treechop_exact):
+    # candidates enumerated for a domain skip `validate` on that domain;
+    # a hand-built controller, or a candidate built for another domain,
+    # is still validated by every check
+    checks = [
+        verify_exact,
+        verify_weak,
+        verify_termination,
+        lambda c, d: verify_weight_threshold(c, d, 0.05),
+        lambda c, d: verify_goal_mass(c, d, 0.5),
+        lambda c, d: verify_epistemic(c, d, "existential"),
+        lambda c, d: verify_epistemic(c, d, "adversarial"),
+    ]
+    with open(fixture_path("treechop_exact.json"), encoding="utf-8") as handle:
+        document = json.load(handle)
+    document["actions"].append({"name": "rest", "kind": "physical"})
+    larger = parse_domain(document)
+    foreign = next(
+        c for c in enumerate_controllers(larger, 2) if "rest" in c.advice.values()
+    )
+    hand_built = [
+        Controller([0, 1], 0, 1, {0: "fly"}, {(0, "0"): 1}),
+        Controller([0, 1], 0, 1, {0: "chop"}, {(0, "0"): 7}),
+        Controller([0, 1], 0, 1, {0: "getd"}, {(0, "sideways"): 1}),
+    ]
+    for controller in [*hand_built, foreign]:
+        for check in checks:
+            with pytest.raises(VerifierInputError, match="controller is invalid"):
+                check(controller, treechop_exact)
+    for candidate in enumerate_controllers(treechop_exact, 2):
+        for check in checks:
+            check(candidate, treechop_exact)  # valid: nothing raised
