@@ -6,12 +6,21 @@
 Writes N (domain, controller) pairs once, at seed 0, from the working
 tree's tests/generators.py: the domains alternate `random_domain` and
 `noisy_sensing_domain`, each with a `random_controller(max_states=4)`.
+For each pair it also writes three scenarios, at seed 1, that walk the
+controller from its initial state for 1-8 steps: a physical step names
+one of its declared outcomes or none, a sensing step one of its
+declared reading tokens, and about 5% of the steps name a random
+declared action instead or drop their reading. The walks read only the
+controller and the declarations, so both sides replay the same files.
 Unpacks `git archive REV` into a temporary directory outside the
 checkout. On every pair, both sides run `verify --json` for each
 criterion in the working tree's `loopverify.synth.CRITERIA` (K = 0.5,
 at `--depth-bound 8`), `synthesize --json` on the pair's domain for each
 of those criteria at `--max-states 2`, and `simulate --json`, with and
-without `--track-belief`. Each side runs all its commands in one worker
+without `--track-belief`. Each scenario is replayed by `trace --json`
+from an initial world of the pair drawn as `--real`, under a random
+combination of `--poss-at-real` and `--real-intended`, with and without
+`--trace-particles`. Each side runs all its commands in one worker
 interpreter that calls `loopverify.cli.main` in process, and the two
 workers get different PYTHONHASHSEEDs, so output that depends on hash
 order shows up as a difference.
@@ -19,8 +28,7 @@ order shows up as a difference.
 Prints every difference in exit code, stdout or stderr, and exits 1 if
 there is any, else 0. A command that raises is recorded as its exception
 type and message, not its traceback, whose line numbers differ between
-revisions. `trace` is not covered, because the generators write no
-scenarios; neither is `export`.
+revisions. `export` is not covered.
 """
 
 from __future__ import annotations
@@ -39,11 +47,13 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 from generators import noisy_sensing_domain, random_controller, random_domain  # noqa: E402
 
-from loopverify import parse_domain, to_json_dict  # noqa: E402
+from loopverify import NULL_OBSERVATION, parse_domain, to_json_dict  # noqa: E402
 from loopverify.synth import CRITERIA  # noqa: E402
 
 DEPTH_BOUND = "8"
 RUNS = "20"
+SCENARIOS = 3  # per pair
+NOISE = 0.05  # share of scenario steps that name a wrong action or drop the reading
 
 # reads one JSON argv list per line of stdin and writes one JSON line
 # [exit code, stdout, stderr] per command; argv[1] is the side's root
@@ -69,25 +79,62 @@ for line in sys.stdin:
 """
 
 
+def walk(rng: random.Random, domain, controller) -> list:
+    """A scenario that walks `controller` from its initial state for 1-8
+    steps, reading only the controller and the domain's declarations."""
+    steps = []
+    control = controller.initial
+    for _ in range(rng.randint(1, 8)):
+        action = controller.advice.get(control)
+        if action is None:
+            break
+        step = {"advised_action": action}
+        if domain.actions[action].kind == "physical":
+            model = domain.outcome_models.get(action)
+            outcomes = [o.action for o in model.outcomes] if model else [action]
+            step["actual_outcome"] = rng.choice(outcomes + [None])
+            obs = NULL_OBSERVATION
+        else:
+            reading = rng.choice(domain.sensing_models[action].readings)
+            step["reading"] = reading.token
+            obs = reading.observation
+        if rng.random() < NOISE:
+            if "reading" in step and rng.random() < 0.5:
+                del step["reading"]
+            else:
+                step["advised_action"] = rng.choice(list(domain.actions))
+        steps.append(step)
+        control = controller.transitions.get((control, obs))
+    return steps
+
+
 def write_pairs(directory: str, count: int) -> list:
-    """The paths of `count` (domain, controller) files written into
-    `directory` from the working tree's generators."""
-    rng = random.Random(0)
+    """(domain path, controller path, traces) for `count` pairs written
+    into `directory` from the working tree's generators; each trace is a
+    (scenario path, --real world, flags) for one scenario walk."""
+    rng, walk_rng = random.Random(0), random.Random(1)
     pairs = []
     for i in range(count):
         data = (random_domain if i % 2 == 0 else noisy_sensing_domain)(rng)
-        controller = random_controller(rng, parse_domain(data), max_states=4)
-        paths = tuple(os.path.join(directory, f"{i}-{kind}.json") for kind in ("d", "c"))
-        for path, document in zip(paths, (data, to_json_dict(controller))):
-            with open(path, "w", encoding="utf-8") as handle:
+        domain = parse_domain(data)
+        controller = random_controller(rng, domain, max_states=4)
+        documents = {"d": data, "c": to_json_dict(controller)}
+        traces = []
+        for k in range(SCENARIOS):
+            documents[f"s{k}"] = walk(walk_rng, domain, controller)
+            real = walk_rng.choice(domain.initial_worlds)[0].as_dict()
+            flags = [f for f in ("--poss-at-real", "--real-intended") if walk_rng.random() < 0.5]
+            traces.append((os.path.join(directory, f"{i}-s{k}.json"), json.dumps(real), flags))
+        for kind, document in documents.items():
+            with open(os.path.join(directory, f"{i}-{kind}.json"), "w", encoding="utf-8") as handle:
                 json.dump(document, handle)
-        pairs.append(paths)
+        pairs.append((*(os.path.join(directory, f"{i}-{kind}.json") for kind in "dc"), traces))
     return pairs
 
 
 def commands(pairs: list) -> list:
     argvs = []
-    for i, (domain, controller) in enumerate(pairs):
+    for i, (domain, controller, traces) in enumerate(pairs):
         for criterion in CRITERIA:
             criterion = criterion.replace("K", "0.5")
             argvs.append(["verify", domain, controller, "--criterion", criterion,
@@ -97,6 +144,10 @@ def commands(pairs: list) -> list:
         for extra in ([], ["--track-belief"]):
             argvs.append(["simulate", domain, controller, "--runs", RUNS,
                           "--seed", str(i), "--json", *extra])
+        for scenario, real, flags in traces:
+            for extra in ([], ["--trace-particles"]):
+                argvs.append(["trace", domain, controller, "--scenario", scenario,
+                              "--real", real, "--json", *flags, *extra])
     return argvs
 
 

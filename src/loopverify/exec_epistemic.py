@@ -6,16 +6,17 @@ model and move the real world by the outcome that actually occurred;
 sensing steps condition the belief on the reading the real world
 produced. The controller branches on observation tokens as usual.
 
-One private step, `_step`, does this for scenario replay and for both
-searches: scenario replay (`_replay_step`) takes the branch its scenario
-names, the searches every branch whose reading the belief allows. A
-live reading without a transition ends a run short of the final state.
-Only the transition lookups of a step read more of the controller than
-its advice, so the searches keep the rest on the belief, per (advised
+One private step, `_step`, serves scenario replay and both searches.
+It reads no controller: its gate, the real world's branches and the
+next beliefs depend only on the advised action, the real world and the
+belief, and replay (`_replay_step`) and the searches (`_successors`)
+each look up their own transitions. A branch without a transition is a
+dead end: replay is stuck there, a search ends the run at a node with
+control None. The searches keep each step on its belief, per (advised
 action, real world, modes), and share it across initial worlds, checks
-and synthesis candidates (`_controller_free_step`). Search nodes carry
-a small int per rounded belief key, so they merge exactly where the
-keys do and hash cheaply.
+and synthesis candidates (`_kept_step`). Search nodes carry a small int
+per rounded belief key, so they merge exactly where the keys do and
+hash cheaply.
 
 A plan is epistemically correct when, from every positive-weight initial
 world taken as the real one, execution reaches the final control state
@@ -49,9 +50,8 @@ from .exec_exact import (
     VerifierInputError,
     _checked,
     _Search,
-    successors,
 )
-from .theory import NULL_OBSERVATION, Domain, WorldState, read_json, read_name
+from .theory import NULL_OBSERVATION, Domain, Reading, WorldState, read_json, read_name
 
 # steps a def9 search explores before it cuts a run off, unless told otherwise
 DEFAULT_DEPTH_BOUND = 64
@@ -110,31 +110,33 @@ def _check_modes(poss_mode: str, real_mode: str) -> None:
         raise VerifierInputError(f"unknown real mode {real_mode!r}")
 
 
-def _step(controller, domain, control, real, belief, poss_mode, real_mode):
-    """The belief-level step from (control, real, belief). Returns the
-    branches of `successors` that `real_mode` allows and a function from
-    a branch to the next belief, which progresses once per physical step
-    and raises ObservationImpossible on a reading the belief rules out.
-    No advice, a failed `poss_mode` gate or an annihilated belief raises
-    ExecutionStuck."""
-    advised = controller.advice.get(control)
-    if advised is None:
-        raise ExecutionStuck(f"state {control!r} has no advice")
+def _step(domain, advised, real, belief, poss_mode, real_mode):
+    """The belief-level step of `advised` from the real world and the
+    belief; it reads no controller. Returns the real world's branches
+    that `real_mode` allows, as (observation, action or Reading, next
+    world), and a function from a branch's action or Reading to the next
+    belief, which progresses once per physical step and raises
+    ObservationImpossible on a reading the belief rules out. A failed
+    `poss_mode` gate or an annihilated belief raises ExecutionStuck."""
     if poss_mode == "belief":
         if not _poss_everywhere(domain, advised, belief):
             raise ExecutionStuck(f"{advised!r} is inexecutable in some possible world")
     elif not domain.poss(advised, real):
         raise ExecutionStuck(f"{advised!r} is inexecutable at the real world")
-    branches = successors(controller, domain, control, real)
-    if real_mode == "intended":  # a sensing branch's action is the advised one
-        branches = [b for b in branches if b.action == advised]
+    moves = domain._moves(advised, real)
     if domain.actions[advised].kind != "physical":
-        return branches, lambda b: condition(belief, advised, b.reading, domain)
+        branches = [(reading.observation, reading, real) for reading, _l in moves]
+        return branches, lambda reading: condition(belief, advised, reading, domain)
+    branches = [
+        (NULL_OBSERVATION, action, world)
+        for action, _likelihood, world in moves
+        if real_mode == "outcome" or action == advised
+    ]
     try:
         progressed = progress(belief, advised, domain)
     except BeliefAnnihilated as exc:
         raise ExecutionStuck(str(exc)) from exc
-    return branches, lambda _b: progressed
+    return branches, lambda _action: progressed
 
 
 def _same_name(scenario_name, declared) -> bool:
@@ -147,18 +149,20 @@ def _replay_step(controller, domain, cfg, step, poss_mode, real_mode):
     """One scenario step from a non-final config; returns (next config,
     action, observation).
 
-    Dead ends (inexecutable advice, undefined transition) raise
-    ExecutionStuck; contradictions between the scenario and the domain
-    raise ScenarioError.
+    Dead ends (no advice, inexecutable advice, undefined transition)
+    raise ExecutionStuck; contradictions between the scenario and the
+    domain raise ScenarioError.
     """
-    advised = controller.advice.get(cfg.control, step.action)  # none: _step is stuck
+    advised = controller.advice.get(cfg.control)
+    if advised is None:
+        raise ExecutionStuck(f"state {cfg.control!r} has no advice")
     if not _same_name(step.action, advised):
         raise ScenarioError(
             f"scenario advises {step.action!r} but the controller advises "
             f"{advised!r} at {cfg.control!r}"
         )
     branches, next_belief = _step(
-        controller, domain, cfg.control, cfg.real, cfg.belief, poss_mode, real_mode
+        domain, advised, cfg.real, cfg.belief, poss_mode, real_mode
     )
     if domain.actions[advised].kind == "physical":
         if step.reading is not None:
@@ -176,7 +180,7 @@ def _replay_step(controller, domain, cfg, step, poss_mode, real_mode):
             )
         if real_mode == "intended":
             actual = advised
-        branch = next((b for b in branches if b.action == actual), None)
+        branch = next((b for b in branches if b[1] == actual), None)
         if branch is None and not domain.poss(actual, cfg.real):
             raise ScenarioError(f"outcome {actual!r} is inexecutable at the real world")
         obs = NULL_OBSERVATION
@@ -192,7 +196,7 @@ def _replay_step(controller, domain, cfg, step, poss_mode, real_mode):
             raise ScenarioError(
                 f"{step.reading!r} is not a declared reading of {advised!r}"
             ) from exc
-        branch = next((b for b in branches if b.reading == reading), None)
+        branch = next((b for b in branches if b[1] == reading), None)
         if branch is None:
             raise ScenarioError(
                 f"reading {step.reading!r} has zero likelihood at the real world"
@@ -201,14 +205,13 @@ def _replay_step(controller, domain, cfg, step, poss_mode, real_mode):
 
     if branch is not None:
         try:
-            belief = next_belief(branch)
+            belief = next_belief(branch[1])
         except ObservationImpossible as exc:
             raise ScenarioError(str(exc)) from exc
-    if branch is None or branch.target is None:
-        raise ExecutionStuck(
-            f"no transition from {cfg.control!r} on observation {obs!r}"
-        )
-    return _BeliefConfig(branch.target, belief, branch.world), advised, obs
+        target = controller.transitions.get((cfg.control, obs))
+        if target is not None:
+            return _BeliefConfig(target, belief, branch[2]), advised, obs
+    raise ExecutionStuck(f"no transition from {cfg.control!r} on observation {obs!r}")
 
 
 def run_scenario(
@@ -245,7 +248,6 @@ def run_scenario(
         )
     cfg = _BeliefConfig(controller.initial, initial_belief(domain, tracing), real0)
     trace = []
-    consumed = 0
     for step in scenario:
         if cfg.control == controller.final:
             break
@@ -267,7 +269,6 @@ def run_scenario(
         if collect is not None:
             collect.append((cfg.control, action, obs, nxt.belief, nxt.real))
         cfg = nxt
-        consumed += 1
     if cfg.control != controller.final:
         return (
             Verdict(
@@ -278,9 +279,8 @@ def run_scenario(
             ),
             cfg,
         )
-    note = ""
-    if consumed < len(scenario):
-        note = f"{len(scenario) - consumed} scenario steps unused"
+    unused = len(scenario) - len(trace)
+    note = f"{unused} scenario steps unused" if unused else ""
     if eval_goal(cfg.belief, domain.goal):
         return Verdict("Holds", witnesses=[(real0, trace)], note=note), cfg
     return (
@@ -297,61 +297,47 @@ def run_scenario(
 def _successors(controller, domain, node: tuple, poss_mode: str, real_mode: str):
     """Successor nodes of (control, real, belief key id, belief), none at
     the final state or where the step is stuck. A reading the belief rules
-    out has none; a live one without a transition leads to a dead-end node
+    out has none; a branch without a transition leads to a dead-end node
     with control None. Successors sharing a belief share its key id."""
     control, real, _id, belief = node
-    if control == controller.final:
-        return []
     advised = controller.advice.get(control)
-    if advised is None:
+    if advised is None or control == controller.final:
         return []
     cell = (advised, real, poss_mode, real_mode)
     entry = None if belief._steps is None else belief._steps.get(cell)
     if entry is None:
-        entry = _controller_free_step(controller, domain, node, cell)
+        entry = _kept_step(domain, belief, cell)
     transitions = controller.transitions
     nodes = []
     for obs, label, world, key_id, after in entry:
-        target = transitions.get((control, obs))
-        if target is None and obs == NULL_OBSERVATION:
-            return []  # a physical step without a null transition
-        nodes.append(((target, world, key_id, after), label, obs))
+        nodes.append(((transitions.get((control, obs)), world, key_id, after), label, obs))
     return nodes
 
 
-def _controller_free_step(controller, domain, node: tuple, cell: tuple) -> tuple:
-    """What `_step` gives at `node` except the transition targets: the
-    (observation, action or reading token, next world, next key id, next
-    belief) of each branch. `cell` names all that this reads besides the
-    controller, so it is kept on the belief under `cell`, except for a
-    physical step without a null transition: that reads no moves at the
-    real world, so it has nothing to keep."""
-    control, real, _id, belief = node
-    advised, _real, poss_mode, real_mode = cell
+def _kept_step(domain, belief: BeliefState, cell: tuple) -> tuple:
+    """`_step` at `cell`, (advised action, real world, poss mode, real
+    mode), kept on `belief` for the searches: the (observation, action or
+    reading token, next world, next key id, next belief) of each branch
+    whose reading the belief allows, none where the step is stuck."""
+    advised, real, poss_mode, real_mode = cell
     try:
         branches, next_belief = _step(
-            controller, domain, control, real, belief, poss_mode, real_mode
+            domain, advised, real, belief, poss_mode, real_mode
         )
     except ExecutionStuck:
-        entry = ()
-    else:
-        if (
-            domain.actions[advised].kind == "physical"
-            and (control, NULL_OBSERVATION) not in controller.transitions
-        ):
-            return ()
-        entry = []
-        for b in branches:
-            try:
-                after = next_belief(b)
-            except ObservationImpossible:
-                continue
-            label = b.action if b.reading is None else b.reading.token
-            entry.append((b.observation, label, b.world, _key_id(domain, after), after))
-        entry = tuple(entry)
+        branches = ()
+    entry = []
+    for obs, label, world in branches:
+        try:
+            after = next_belief(label)
+        except ObservationImpossible:
+            continue
+        if isinstance(label, Reading):
+            label = label.token
+        entry.append((obs, label, world, _key_id(domain, after), after))
     if belief._steps is None:
         belief._steps = {}
-    belief._steps[cell] = entry
+    entry = belief._steps[cell] = tuple(entry)
     return entry
 
 

@@ -17,8 +17,8 @@ simulated run on the domain shares it:
   impossible results, and whether an action is executable in every
   world of a belief, by (action, exact belief contents);
 - the prior belief, one per tracing flag (`belief.initial_belief`);
-- the def9 searches' step (`exec_epistemic`), everything in it but the
-  transition lookups, kept on each belief object the memo returns, by
+- the def9 searches' step (`exec_epistemic._kept_step`), which reads
+  no controller, kept on each belief object the memo returns, by
   (advised action, real world, poss mode, real mode). The object is a
   safe key, because the memo returns one object for equal contents and
   searches start from the one prior;
@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .formulas import (
@@ -64,11 +65,12 @@ class DomainError(ValueError):
 
 def read_json(source, error, what: str):
     """The JSON document in a string or an open text file; text that is
-    not JSON, bytes that are not UTF-8 and nesting too deep to decode
-    raise `error`, the input error class of the document."""
+    not JSON, bytes that are not UTF-8, an int literal longer than
+    `sys.get_int_max_str_digits()` and nesting too deep to decode raise
+    `error`, the input error class of the document."""
     try:
         return json.loads(source) if isinstance(source, str) else json.load(source)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise error(f"{what} is not valid JSON: {exc}") from exc
 
 
@@ -82,12 +84,12 @@ def read_name(value, error, what: str):
 
 
 def _finite(value) -> bool:
-    """True for a JSON number that is finite; bools, NaN and infinities
-    are rejected."""
+    """True for a JSON number that is finite as a float; bools, NaN,
+    infinities and ints past the largest float are rejected."""
     return (
         isinstance(value, (int, float))
         and not isinstance(value, bool)
-        and math.isfinite(value)
+        and abs(value) <= sys.float_info.max
     )
 
 

@@ -12,6 +12,9 @@ from conftest import FIXTURES, fixture_path, look_domain_data
 
 STATUS_EXIT = {"Holds": 0, "Fails": 1, "Unknown": 2}
 
+# an int too large for a float, so no name, weight or value
+PAST_FLOAT = 10**400
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -222,6 +225,27 @@ def test_verify_unknown_criterion_lists_tokens(capsys):
         ("scenario", [0, "advised_action"], None),
         ("scenario", [1, "reading"], ["up"]),
         ("scenario", [1, "reading"], True),
+        ("domain", ["actions", 1, "name"], PAST_FLOAT),
+        ("domain", ["initial", 0, "weight"], PAST_FLOAT),
+        (
+            "domain",
+            ["outcome_models"],
+            [{"intended": "chop", "outcomes": [{"actual": "chop", "likelihood": PAST_FLOAT}]}],
+        ),
+        ("domain", ["sensing_models", 0, "readings", 1, "value"], PAST_FLOAT),
+        ("domain", ["sensing_models", 0, "table", 1, "likelihoods", "up"], PAST_FLOAT),
+        (
+            "domain",
+            ["sensing_models", 0],
+            {
+                "action": "getd",
+                "readings": [{"token": "down"}, {"token": "up"}],
+                "gaussian": {"mean_fluent": "d", "variance": PAST_FLOAT},
+            },
+        ),
+        ("scenario", [0, "advised_action"], PAST_FLOAT),
+        ("scenario", [0, "actual_outcome"], -PAST_FLOAT),
+        ("scenario", [1, "reading"], PAST_FLOAT),
     ],
     ids=[
         "initial-entry",
@@ -264,6 +288,15 @@ def test_verify_unknown_criterion_lists_tokens(capsys):
         "scenario-action-null",
         "scenario-reading-list",
         "scenario-reading-bool",
+        "action-name-past-float",
+        "weight-past-float",
+        "outcome-likelihood-past-float",
+        "reading-value-past-float",
+        "sensor-likelihood-past-float",
+        "variance-past-float",
+        "scenario-action-past-float",
+        "scenario-outcome-past-float",
+        "scenario-reading-past-float",
     ],
 )
 def test_malformed_domain_entries_exit_three(capsys, tmp_path, document, path, value):
@@ -308,6 +341,9 @@ def test_malformed_domain_entries_exit_three(capsys, tmp_path, document, path, v
         (["initial"], True),
         (["advice", "7"], "chop"),
         (["name"], [1]),
+        (["states"], [0, 1, 2, PAST_FLOAT]),
+        (["advice", "1"], PAST_FLOAT),
+        (["transitions", 0, 1], -PAST_FLOAT),
     ],
     ids=[
         "nested-state",
@@ -323,6 +359,9 @@ def test_malformed_domain_entries_exit_three(capsys, tmp_path, document, path, v
         "initial-true",
         "advice-key-undeclared",
         "name-list",
+        "state-past-float",
+        "advice-past-float",
+        "transition-observation-past-float",
     ],
 )
 def test_malformed_controller_entries_exit_three(capsys, tmp_path, path, value):
@@ -754,6 +793,34 @@ def test_deeply_nested_json_is_input_error(capsys, tmp_path):
         ["trace", domain, controller, "--scenario", str(deep), "--real", '{"d": 1}'],
         ["trace", domain, controller, "--scenario", scenario,
          "--real", "[" * 100000 + "]" * 100000],
+    ):
+        assert_input_error(capsys, argv)
+
+
+def test_int_literals_longer_than_the_decoder_reads_are_input_errors(capsys, tmp_path):
+    # the JSON decoder refuses an int literal of more digits than
+    # sys.get_int_max_str_digits() (4,300 by default) with a ValueError
+    huge = "1" + "0" * 5000
+    edits = {
+        "treechop_noisyact_bel.json": lambda data: data["fluents"][0].update(range=[0, "N"]),
+        "fig1.json": lambda data: data["states"].append("N"),
+        "scenario_alpha.json": lambda data: data[0].update(advised_action="N"),
+    }
+    paths = {}
+    for name, edit in edits.items():
+        with open(fixture_path(name)) as handle:
+            data = json.load(handle)
+        edit(data)
+        paths[name] = tmp_path / name
+        paths[name].write_text(json.dumps(data).replace('"N"', huge))
+    domain, controller = fixture_path("treechop_noisyact_bel.json"), fixture_path("fig1.json")
+    scenario = fixture_path("scenario_alpha.json")
+    for argv in (
+        ["verify", str(paths["treechop_noisyact_bel.json"]), controller, "--criterion", "def4"],
+        ["verify", domain, str(paths["fig1.json"]), "--criterion", "def4"],
+        ["trace", domain, controller, "--scenario", str(paths["scenario_alpha.json"]),
+         "--real", '{"d": 1}'],
+        ["trace", domain, controller, "--scenario", scenario, "--real", '{"d": %s}' % huge],
     ):
         assert_input_error(capsys, argv)
 

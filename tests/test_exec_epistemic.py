@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from loopverify.belief import bel, condition, initial_belief, progress
+from loopverify.belief import _key_id, bel, condition, initial_belief, progress
 from loopverify.controller import Controller, to_json_dict
 from loopverify.exec_epistemic import (
     ExecutionStuck,
@@ -12,6 +12,7 @@ from loopverify.exec_epistemic import (
     _BeliefConfig,
     _replay_step,
     _ScenarioStep,
+    _successors,
     load_scenario,
     parse_scenario,
     run_scenario,
@@ -19,7 +20,7 @@ from loopverify.exec_epistemic import (
 )
 from loopverify.exec_exact import VerifierInputError
 from loopverify.formulas import parse_condition
-from loopverify.theory import load_domain, parse_domain, world_from_dict
+from loopverify.theory import DomainError, load_domain, parse_domain, world_from_dict
 
 from conftest import fixture_path, look_domain_data
 from generators import noisy_sensing_domain, random_controller
@@ -380,6 +381,48 @@ def test_adversarial_fails_on_a_live_reading_without_a_transition():
     assert verdict.status == "Fails"
     assert verdict.note == "no transition from 0 on observation 'hi'"
     assert cfg.control == 0
+
+
+def test_a_physical_step_without_a_null_transition_is_a_dead_end(treechop_noisyact_bel):
+    # chop with nowhere to go, as at a live reading without a transition:
+    # each outcome's run ends at a dead-end node (control None) in the
+    # searches, which both fail there, and replay is stuck
+    domain = treechop_noisyact_bel
+    stuck = Controller([0, 1], 0, 1, {0: "chop"}, {})
+    prior = initial_belief(domain)
+    d2 = world_from_dict(domain, {"d": 2})
+    node = (0, d2, _key_id(domain, prior), prior)
+    for real_mode, labels in (("outcome", ["chop", "chop_noop"]), ("intended", ["chop"])):
+        nodes = _successors(stuck, domain, node, "belief", real_mode)
+        assert [(nxt[0], label, obs) for nxt, label, obs in nodes] == [
+            (None, label, "0") for label in labels
+        ]
+    for mode in ("existential", "adversarial"):
+        assert verify_epistemic(stuck, domain, mode, 0).status == "Unknown"
+        for bound in (1, 2, 64):  # the dead ends lie at the bound in the first
+            verdict = verify_epistemic(stuck, domain, mode, bound)
+            assert verdict.status == "Fails", (mode, bound)
+    verdict, cfg = run_scenario(stuck, domain, d2, [_ScenarioStep("chop")])
+    assert (verdict.status, verdict.note) == ("Fails", "no transition from 0 on observation '0'")
+    assert cfg.control == 0
+
+
+def test_a_step_names_the_real_world_first_where_an_effect_leaves_its_range():
+    # 5,001 values are too many for the parse-time range check, so the
+    # effect errors only when a step applies it. A step takes the real
+    # world's moves before it progresses the belief, so the error names
+    # the real world whether or not the controller has a transition to take
+    domain = parse_domain({
+        "fluents": [{"name": "x", "range": [0, 5000]}],
+        "actions": [{"name": "inc", "effects": [{"fluent": "x", "value": "(+ x 10)"}]}],
+        "initial": [{"state": {"x": 4995}}, {"state": {"x": 4999}}],
+        "goal": "true",
+    })
+    x4999 = world_from_dict(domain, {"x": 4999})
+    for transitions in ({}, {(0, "0"): 1}):
+        controller = Controller([0, 1], 0, 1, {0: "inc"}, transitions)
+        with pytest.raises(DomainError, match=r"value 5009 at WorldState\(x=4999\)"):
+            run_scenario(controller, domain, x4999, [_ScenarioStep("inc")])
 
 
 def test_existential_fails_at_a_dead_end_cut_off_by_the_bound():

@@ -33,6 +33,8 @@ JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
     | st.integers(-3, 12)
+    | st.just(10**400)  # ints no float can hold
+    | st.just(-(10**400))
     | st.floats(allow_nan=True, allow_infinity=True)
     | st.text(max_size=4),
     lambda inner: (
